@@ -203,7 +203,11 @@ def cmd_run(args) -> int:
 def cmd_stats(args) -> int:
     source = _read_source(args.file)
     lifted_stages, diags = compile_all_stages(
-        source, args.file, fast_math=args.fast_math
+        source,
+        args.file,
+        fast_math=args.fast_math,
+        lift=not args.no_lift,
+        fuse=not args.no_fuse,
     )
     failed = _emit(diags, source)
     if failed or not lifted_stages:
@@ -255,12 +259,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fast-math", action="store_true", help="allow float reassociation")
     p.add_argument("--no-lift", action="store_true", help="disable reduction lifting")
     p.add_argument("--no-fuse", action="store_true", help="disable producer fusion")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker thread budget (evaluation is currently sequential)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,15 +18,6 @@ class Location:
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
 
-    def merge(self, other: "Location") -> "Location":
-        """Span covering both locations (assumes same file)."""
-        start = min((self.line, self.col), (other.line, other.col))
-        end = max(
-            (self.end_line or self.line, self.end_col or self.col),
-            (other.end_line or other.line, other.end_col or other.col),
-        )
-        return Location(self.file, start[0], start[1], end[0], end[1])
-
 
 UNKNOWN_LOC = Location()
 

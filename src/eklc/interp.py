@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,9 +23,9 @@ from .ir import (
     Operation,
     RationalAttr,
     Value,
+    kernels_of,
 )
 from .types import (
-    BOOL,
     EXPR,
     F64,
     ArrayType,
@@ -156,6 +156,24 @@ _CMP_FUNCS = {
 }
 
 
+_INPLACE_FUNCS = {
+    "ekl.add": operator.iadd,
+    "ekl.sub": operator.isub,
+    "ekl.mul": operator.imul,
+    "ekl.div": operator.itruediv,
+}
+
+
+def _apply_arith(op: Operation, a, b, in_place: bool = False):
+    """Apply a binary arith op, into `a` when `in_place`; a rational
+    division by zero is an EvalError."""
+    funcs = _INPLACE_FUNCS if in_place else _ARITH_FUNCS
+    try:
+        return funcs[op.kind](a, b)
+    except ZeroDivisionError:
+        raise EvalError(f"{op.location}: division by zero") from None
+
+
 def _attr_value(attr):
     if isinstance(attr, RationalAttr):
         return attr.value
@@ -197,10 +215,8 @@ class Interpreter:
             "ekl.subscript": self._op_subscript,
             "ekl.stack": self._op_stack,
             "ekl.choice": self._op_choice,
-            "ekl.if": self._op_choice,
             "ekl.if_stmt": self._op_if_stmt,
             "ekl.assoc": self._op_assoc,
-            "ekl.zip": self._op_zip,
             "ekl.reduce": self._op_reduce,
             "ekl.cast": self._op_cast,
             "ekl.broadcast": self._op_broadcast,
@@ -275,7 +291,7 @@ class Interpreter:
         rt = self._result_type(op)
         scalar = scalar_of(rt)
         vals = [self._materialize_operand(env[v], scalar) for v in op.operands]
-        result = _ARITH_FUNCS[op.kind](*vals)
+        result = _apply_arith(op, *vals)
         n = max(_size(rt), 1)
         if op.kind in ("ekl.mul", "ekl.div"):
             self.counters.multiplies += n
@@ -456,6 +472,11 @@ class Interpreter:
             return entry[1]
 
         result_value = None
+        # Values whose grid arrays arith ops of this body computed. An arith
+        # op overwrites its left operand when that is one of them and has no
+        # other use: a product chain over the full grid then holds one
+        # full-size temporary, not two.
+        computed: set[Value] = set()
         for body_op in block.ops:
             kind = body_op.kind
             if kind == "ekl.yield":
@@ -495,9 +516,17 @@ class Interpreter:
             elif kind in _ARITH_FUNCS:
                 if isinstance(rt, ArrayType):
                     raise _VecUnsupported
-                a = _vec_convert(grid_of(body_op.operands[0]), rs)
+                lhs = body_op.operands[0]
+                a = _vec_convert(grid_of(lhs), rs)
                 b = _vec_convert(grid_of(body_op.operands[1]), rs)
-                out = _ARITH_FUNCS[kind](a, b)
+                in_place = (
+                    lhs in computed
+                    and len(lhs.uses) == 1
+                    and isinstance(a, np.ndarray)
+                    and a.shape == np.broadcast_shapes(a.shape, np.shape(b))
+                )
+                out = _apply_arith(body_op, a, b, in_place)
+                computed.add(body_op.result)
                 if kind in ("ekl.mul", "ekl.div"):
                     counters.multiplies += points
                 else:
@@ -543,7 +572,7 @@ class Interpreter:
                 out = src[tuple(key)]
                 counters.gather_reads += points
                 venv[body_op.result] = ("g", _vec_convert(np.asarray(out), rs))
-            elif kind in ("ekl.choice", "ekl.if"):
+            elif kind == "ekl.choice":
                 cond = grid_of(body_op.operands[0])
                 a = _vec_convert(grid_of(body_op.operands[1]), rs)
                 b = _vec_convert(grid_of(body_op.operands[2]), rs)
@@ -608,21 +637,6 @@ class Interpreter:
             raise _VecUnsupported
         return result_value
 
-    def _op_zip(self, op: Operation, env) -> None:
-        rt = self._result_type(op)
-        shape = shape_of(rt)
-        args = op.body().args
-        sources = [
-            np.broadcast_to(np.asarray(env[v]), shape) for v in op.operands
-        ]
-        out = np.empty(shape, dtype=dtype_for(scalar_of(rt)))
-        for idx in np.ndindex(shape):
-            for arg, src in zip(args, sources):
-                env[arg] = src[idx]
-            out[idx] = self._exec_block(op.body(), env)
-        self.counters.intermediate_elements += out.size
-        env[op.result] = coerce(out, rt)
-
     def _op_reduce(self, op: Operation, env) -> None:
         rt = self._result_type(op)
         src = np.asarray(env[op.operands[0]])
@@ -659,10 +673,6 @@ def eval_kernel(
     interp = Interpreter()
     outputs = interp.run_kernel(kernel, inputs)
     return outputs, interp.counters
-
-
-def kernels_of(module: Operation) -> list[Operation]:
-    return [op for op in module.body().ops if op.kind == "ekl.kernel"]
 
 
 def eval_module(
@@ -804,7 +814,7 @@ def eval_ast_oracle(
             common = max(shapes, key=len)
             arrs = [np.broadcast_to(np.asarray(p, dtype=object), common) for p in parts]
             env[op.result] = np.stack(arrs, axis=-1)
-        elif kind in ("ekl.choice", "ekl.if"):
+        elif kind == "ekl.choice":
             cond, a, b = (env[v] for v in op.operands)
             if np.shape(cond) == () and np.shape(a) == () and np.shape(b) == ():
                 env[op.result] = a if bool(cond) else b
@@ -818,19 +828,6 @@ def eval_ast_oracle(
             for idx in np.ndindex(shape):
                 for arg, i in zip(op.body().args, idx):
                     env[arg] = i
-                out[idx] = run_block(op.body())
-            env[op.result] = out
-        elif kind == "ekl.zip":
-            shapes = [np.shape(env[v]) for v in op.operands]
-            common = max(shapes, key=len)
-            sources = [
-                np.broadcast_to(np.asarray(env[v], dtype=object), common)
-                for v in op.operands
-            ]
-            out = np.empty(common, dtype=object)
-            for idx in np.ndindex(common):
-                for arg, src in zip(op.body().args, sources):
-                    env[arg] = src[idx]
                 out[idx] = run_block(op.body())
             env[op.result] = out
         elif kind == "ekl.reduce":

@@ -9,12 +9,12 @@ for dialect registration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .diagnostics import Diagnostic, Location, UNKNOWN_LOC, error
-from .types import EXPR, Type, is_subtype
+from .types import Type, is_subtype
 
 
 # --- attributes -------------------------------------------------------------
@@ -195,14 +195,6 @@ class Operation:
         for idx, v in enumerate(self.operands):
             v.uses.remove((self, idx))
         self.operands = []
-
-    def erase(self) -> None:
-        """Remove from the parent block; the op must have no remaining uses."""
-        assert all(not r.uses for r in self.results), "erasing op with uses"
-        self.drop_operands()
-        if self.parent is not None:
-            self.parent.ops.remove(self)
-            self.parent = None
 
     def __repr__(self) -> str:
         return f"<op {self.kind}>"
@@ -445,6 +437,10 @@ def erase_tree(op: Operation) -> None:
     if op.parent is not None:
         op.parent.ops.remove(op)
         op.parent = None
+
+
+def kernels_of(module: Operation) -> list[Operation]:
+    return [op for op in module.body().ops if op.kind == "ekl.kernel"]
 
 
 def count_ops(module: Operation) -> int:

@@ -203,9 +203,6 @@ class _IrParser:
             raise IrSyntaxError(tok.loc, f"expected {text!r}, found {tok.text!r}")
         return tok
 
-    def fail(self, message: str) -> IrSyntaxError:
-        return IrSyntaxError(self.peek().loc, message)
-
     # -- types --
 
     def parse_type(self) -> Type:

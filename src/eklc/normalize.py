@@ -40,7 +40,6 @@ from .types import (
     ArrayType,
     BoolType,
     IndexType,
-    IntType,
     PseudoType,
     RationalType,
     Type,
@@ -51,7 +50,7 @@ from .types import (
 )
 
 _ARITH = ("ekl.add", "ekl.sub", "ekl.mul", "ekl.div")
-_GENERATORS = ("ekl.assoc", "ekl.zip", "ekl.reduce")
+_GENERATORS = ("ekl.assoc", "ekl.reduce")
 _DCE_KEEP = ("ekl.output", "ekl.yield", "ekl.kernel", "ekl.program")
 
 
@@ -301,7 +300,7 @@ def materialize_casts(module: Operation) -> Operation:
             common = promote(sa, sb)
             if common is not None and not isinstance(common, RationalType):
                 _cast_operands_to(op, [0, 1], common)
-        elif kind in ("ekl.choice", "ekl.if"):
+        elif kind == "ekl.choice":
             rs = scalar_of(op.result.type)
             if not isinstance(rs, IndexType):
                 _cast_operands_to(op, [1, 2], rs)
@@ -335,7 +334,6 @@ _SCALARIZE = (
     "ekl.neg",
     "ekl.cmp",
     "ekl.choice",
-    "ekl.if",
     "ekl.cast",
 )
 
@@ -415,31 +413,6 @@ def _scalarize(op: Operation) -> None:
     erase_tree(op)
 
 
-def _canonicalize_zip(op: Operation) -> None:
-    """zip(a, b){f} becomes assoc{i -> f(a[i...], b[i...])}."""
-    rt = op.result.type
-    shape = shape_of(rt)
-    block = Block([IndexType(max(e, 1)) for e in shape])
-    loc = op.location
-    mapping: dict[Value, Value] = {}
-    for arg, v in zip(op.body().args, op.operands):
-        mapping[arg] = _subscript_mapped(block, v, shape, loc)
-    from .ir import clone_op
-
-    for nested in op.body().ops:
-        block.append(clone_op(nested, mapping))
-    assoc = Operation(
-        "ekl.assoc",
-        attrs={"shape": ShapeAttr(shape)},
-        regions=[Region(block)],
-        result_types=[rt],
-        location=loc,
-    )
-    op.parent.insert_before(op, assoc)
-    op.result.replace_all_uses_with(assoc.result)
-    erase_tree(op)
-
-
 def _licm(module: Operation) -> None:
     """Hoist functor-body ops whose whole subtree depends only on outer
     values."""
@@ -480,9 +453,7 @@ def to_generator_form(module: Operation) -> Operation:
     for op in list(walk_lexical(module)):
         if op.parent is None:
             continue
-        if op.kind == "ekl.zip":
-            _canonicalize_zip(op)
-        elif op.kind in _SCALARIZE and isinstance(op.result.type, ArrayType):
+        if op.kind in _SCALARIZE and isinstance(op.result.type, ArrayType):
             _scalarize(op)
     _licm(module)
     for region in module.regions:

@@ -1,8 +1,8 @@
 """The ekl op set: registered signatures, local verifiers, and typing rules.
 
 Expression-producing ops have exactly one result. Containers (program,
-kernel, constexpr) hold single-block regions; generator ops (assoc, zip,
-reduce) hold functor regions terminated by a yield.
+kernel) hold single-block regions; generator ops (assoc, reduce) hold
+functor regions terminated by a yield.
 """
 
 from __future__ import annotations
@@ -12,13 +12,10 @@ from fractions import Fraction
 from .diagnostics import Diagnostic, Location, error
 from .ir import (
     Attribute,
-    Block,
-    DenseAttr,
     IntAttr,
     OpSignature,
     Operation,
     RationalAttr,
-    Region,
     REGISTRY,
     ShapeAttr,
     StringAttr,
@@ -42,10 +39,9 @@ from .types import (
     Type,
     broadcast_and_promote,
     broadcast_shapes,
+    index_add_bound,
     int_max,
     is_arithmetic_type,
-    is_numeric_scalar,
-    is_subtype,
     scalar_of,
     shape_of,
     with_shape,
@@ -184,27 +180,20 @@ def arith_rule(op: Operation, ctx: TypingContext) -> None:
     if op.kind == "ekl.add":
         # Index addition tracks the exclusive upper bound of the result.
         scalars = [scalar_of(s) for s in samples]
-        if all(isinstance(s, IndexType) for s in scalars):
-            bound = sum(s.bound for s in scalars) - len(scalars) + 1
+        index = index_add_bound(*scalars)
+        if index is None and any(isinstance(s, IndexType) for s in scalars):
+            idx, other = (0, 1) if isinstance(scalars[0], IndexType) else (1, 0)
+            const = _literal_int_value(op.operands[other])
+            if const is not None and const >= 0:
+                index = IndexType(scalars[idx].bound + const)
+        if index is not None:
             shape = broadcast_shapes(shape_of(samples[0]), shape_of(samples[1]))
             if shape is None:
                 raise ctx.contradict(
                     f"no broadcast shape for {samples[0]} and {samples[1]}"
                 )
-            ctx.deduce(op.result, equiv(with_shape(IndexType(bound), shape)))
+            ctx.deduce(op.result, equiv(with_shape(index, shape)))
             return
-        if len(samples) == 2 and any(isinstance(s, IndexType) for s in scalars):
-            idx, other = (0, 1) if isinstance(scalars[0], IndexType) else (1, 0)
-            const = _literal_int_value(op.operands[other])
-            if const is not None and const >= 0:
-                bound = scalars[idx].bound + const
-                shape = broadcast_shapes(shape_of(samples[0]), shape_of(samples[1]))
-                if shape is None:
-                    raise ctx.contradict(
-                        f"no broadcast shape for {samples[0]} and {samples[1]}"
-                    )
-                ctx.deduce(op.result, equiv(with_shape(IndexType(bound), shape)))
-                return
     samples = [_demote_index(s) for s in samples]
     result = _combine(ctx, samples, "arithmetic type")
     if op.kind == "ekl.div" and not isinstance(scalar_of(result), (FloatType, RationalType)):
@@ -364,24 +353,6 @@ def assoc_rule(op: Operation, ctx: TypingContext) -> None:
     ctx.deduce(op.result, equiv(ArrayType(elem, shape)))
 
 
-def zip_rule(op: Operation, ctx: TypingContext) -> None:
-    args = op.regions[0].block.args
-    if len(args) != len(op.operands):
-        raise ctx.contradict("zip functor arity must match its operand count")
-    samples = _operand_samples(op, ctx)
-    if samples is None:
-        return
-    combined = _combine(ctx, samples, "zip broadcast type")
-    for arg, s in zip(args, samples):
-        ctx.deduce(arg, equiv(scalar_of(s)))
-    elem = ctx.sample(_yield_operand(op))
-    if elem is None:
-        return
-    if isinstance(elem, ArrayType):
-        raise ctx.contradict("zip functor must yield a scalar element")
-    ctx.deduce(op.result, equiv(with_shape(elem, shape_of(combined))))
-
-
 def reduce_rule(op: Operation, ctx: TypingContext) -> None:
     src = ctx.sample(op.operands[0])
     if src is None:
@@ -419,10 +390,6 @@ def broadcast_op_rule(op: Operation, ctx: TypingContext) -> None:
     ctx.deduce(op.result, equiv(with_shape(scalar_of(src), shape)))
 
 
-def constexpr_rule(op: Operation, ctx: TypingContext) -> None:
-    raise ctx.contradict("constexpr container was not folded before type checking")
-
-
 # --- transmutation hooks ----------------------------------------------------
 
 
@@ -456,14 +423,6 @@ _sig(
     verifier=_verify_kernel,
 )
 _sig(
-    "ekl.constexpr",
-    num_regions=1,
-    num_results=1,
-    verifier=_verify_functor,
-    typing_rule=constexpr_rule,
-    is_container=True,
-)
-_sig(
     "ekl.literal",
     num_results=1,
     verifier=_verify_literal,
@@ -489,7 +448,6 @@ _sig(
 )
 _sig("ekl.stack", min_operands=1, max_operands=None, num_results=1, typing_rule=stack_rule)
 _sig("ekl.choice", min_operands=3, max_operands=3, num_results=1, typing_rule=_choice_like_rule)
-_sig("ekl.if", min_operands=3, max_operands=3, num_results=1, typing_rule=_choice_like_rule)
 _sig(
     "ekl.if_stmt",
     min_operands=1,
@@ -504,16 +462,6 @@ _sig(
     verifier=_verify_functor,
     typing_rule=assoc_rule,
     transmute_hook=_assoc_transmute,
-)
-_sig(
-    "ekl.zip",
-    min_operands=1,
-    max_operands=None,
-    num_regions=1,
-    num_results=1,
-    verifier=_verify_functor,
-    typing_rule=zip_rule,
-    transmute_hook=_accept_transmute,
 )
 _sig(
     "ekl.reduce",
@@ -567,20 +515,5 @@ def pseudo_literal(kind: str, loc: Location = Location()) -> Operation:
     return make_literal(StringAttr(kind), PseudoType(kind), loc)
 
 
-def make_functor(arg_types: list[Type]) -> Region:
-    return Region(Block(arg_types))
-
-
 def make_yield(value: Value, loc: Location = Location()) -> Operation:
     return Operation("ekl.yield", operands=[value], location=loc)
-
-
-def finalize_shapes(module: Operation) -> None:
-    """Sync assoc shape attributes with materialized index argument types."""
-    from .ir import walk_lexical
-
-    for op in walk_lexical(module):
-        if op.kind == "ekl.assoc":
-            args = op.regions[0].block.args
-            if all(isinstance(a.type, IndexType) for a in args):
-                op.attrs["shape"] = ShapeAttr(tuple(a.type.bound for a in args))

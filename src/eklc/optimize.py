@@ -5,8 +5,7 @@
   tensors, turning one O(n^(o+r)) loop nest into a chain of smaller sweeps.
   Applied only where reassociation is exact (rational or integer elements)
   unless fast-math is requested.
-- `if_to_choice`: renames pure conditional expressions to choice and
-  dissolves constant conditions.
+- `if_to_choice`: dissolves choices whose condition is a constant.
 - `fuse_producers`: inlines single-use generators into their one consumer
   when the read is a bijective per-element gather.
 - `lower_rationals`: narrows rational literals to the machine types they
@@ -30,6 +29,7 @@ from .ir import (
     Value,
     clone_op,
     erase_tree,
+    kernels_of,
     walk_lexical,
 )
 from .normalize import _dce_block
@@ -42,19 +42,13 @@ from .types import (
     IntType,
     PseudoType,
     RationalType,
-    Type,
     promote,
     rational_fits_exactly,
     scalar_of,
-    shape_of,
 )
 
 
 # --- shared helpers ----------------------------------------------------------
-
-
-def _kernels(module: Operation) -> list[Operation]:
-    return [op for op in module.body().ops if op.kind == "ekl.kernel"]
 
 
 def _ops_inside(root: Operation) -> set[int]:
@@ -190,7 +184,7 @@ def _product_factors(value: Value, inside: set[int]) -> list[Value]:
 
 def lift_reductions(module: Operation, fast_math: bool = False) -> Operation:
     """Factor `assoc{... reduce(assoc{...})}` reduction nests into sweeps."""
-    for kernel in _kernels(module):
+    for kernel in kernels_of(module):
         for op in list(kernel.body().ops):
             if op.kind == "ekl.assoc" and op.parent is not None:
                 _try_lift(kernel.body(), op, fast_math)
@@ -410,13 +404,10 @@ def _emit_table(
 
 
 def if_to_choice(module: Operation) -> Operation:
-    """Pure conditional expressions become choice; constant conditions
-    dissolve."""
+    """Choices on a constant condition dissolve into the chosen operand."""
     for op in list(walk_lexical(module)):
         if op.parent is None:
             continue
-        if op.kind == "ekl.if":
-            op.kind = "ekl.choice"
         if op.kind == "ekl.choice":
             cond = op.operands[0].defining_op
             if cond is not None and cond.kind == "ekl.literal":

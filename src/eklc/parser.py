@@ -2,8 +2,9 @@
 
 Every expression value starts out typed `expr`; concrete types are deduced
 later by the fix-point checker. Constant expressions in type positions are
-wrapped in an ephemeral constexpr container and folded immediately by
-running the ordinary pipeline on the container in isolation.
+built in an isolated block, wrapped in an ephemeral `ekl.program`
+container, and folded immediately by type checking and evaluating that
+container on its own.
 """
 
 from __future__ import annotations
@@ -619,7 +620,7 @@ class Parser:
         else_value = self.parse_expr()
         return self.emit(
             Operation(
-                "ekl.if",
+                "ekl.choice",
                 operands=[cond, then_value, else_value],
                 result_types=[EXPR],
                 location=loc,

@@ -10,9 +10,9 @@ Stages, in order:
   broadcasts, ellipsis subscripts expanded.
 - ``generators``: elementwise array operations rewritten to generator
   form with loop-invariant subtrees hoisted.
-- ``optimized``: reductions factored into staged sweeps, conditionals
-  converted to selections, single-use producers fused, exact rational
-  literals lowered to machine constants.
+- ``optimized``: reductions factored into staged sweeps, choices on
+  constant conditions dissolved, single-use producers fused, exact
+  rational literals lowered to machine constants.
 """
 
 from __future__ import annotations
@@ -21,13 +21,30 @@ import copy
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
-from .ir import Operation, verify
+from .ir import Operation
 from .normalize import materialize_casts, simplify, to_generator_form
 from .optimize import optimize
 from .parser import parse_source
-from .typecheck import type_check, verify_semantic
+from .typecheck import type_check
 
 STAGES = ("ast", "typed", "simplified", "explicit", "generators", "optimized")
+
+
+def _no_diagnostics(module: Operation) -> list[Diagnostic]:
+    return []
+
+
+# Each stage after `ast`, in order, with the pass that produces it from the
+# stage before. A pass returns the diagnostics it reports. The lambdas look
+# each pass up by its name in this module when they run, so a wrapper set on
+# that name (as a tracer does) is the one called.
+PASSES = (
+    ("typed", lambda module, options: type_check(module)[1]),
+    ("simplified", lambda module, options: _no_diagnostics(simplify(module))),
+    ("explicit", lambda module, options: _no_diagnostics(materialize_casts(module))),
+    ("generators", lambda module, options: _no_diagnostics(to_generator_form(module))),
+    ("optimized", lambda module, options: optimize(module, **options)),
+)
 
 
 @dataclass
@@ -43,6 +60,36 @@ class CompileResult:
         )
 
 
+def _compile(
+    source: str,
+    filename: str,
+    stage: str,
+    options: dict[str, bool],
+    snapshots: dict[str, Operation] | None = None,
+) -> CompileResult:
+    """Parse, then run the passes in order up to and including `stage`.
+
+    Stops at the first stage that reports an error and drops the module.
+    With `snapshots`, each stage after `ast` and before `stage` is saved
+    there as a deep copy.
+    """
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}")
+    module, diagnostics = parse_source(source, filename)
+    result = CompileResult(module, diagnostics)
+    for name, run in PASSES[: STAGES.index(stage)]:
+        if not result.ok:
+            break
+        for d in run(module, options):
+            kept = result.warnings if d.severity == "warning" else result.diagnostics
+            kept.append(d)
+        if snapshots is not None and name != stage:
+            snapshots[name] = copy.deepcopy(module)
+    if not result.ok:
+        result.module = None
+    return result
+
+
 def compile_source(
     source: str,
     filename: str = "<input>",
@@ -52,31 +99,8 @@ def compile_source(
     fuse: bool = True,
 ) -> CompileResult:
     """Compile EKL source up to and including the requested stage."""
-    if stage not in STAGES:
-        raise ValueError(f"unknown stage {stage!r}")
-    module, diagnostics = parse_source(source, filename)
-    result = CompileResult(module, diagnostics)
-    if not result.ok or stage == "ast":
-        result.module = None if not result.ok else module
-        return result
-    _, type_diags = type_check(module)
-    result.diagnostics.extend(type_diags)
-    if not result.ok:
-        result.module = None
-        return result
-    if stage == "typed":
-        return result
-    simplify(module)
-    if stage == "simplified":
-        return result
-    materialize_casts(module)
-    if stage == "explicit":
-        return result
-    to_generator_form(module)
-    if stage == "generators":
-        return result
-    result.warnings.extend(optimize(module, fast_math=fast_math, lift=lift, fuse=fuse))
-    return result
+    options = dict(fast_math=fast_math, lift=lift, fuse=fuse)
+    return _compile(source, filename, stage, options)
 
 
 def compile_all_stages(
@@ -92,25 +116,10 @@ def compile_all_stages(
     fails. The ``ast`` snapshot is omitted since its values carry no
     types and cannot be evaluated.
     """
-    module, diagnostics = parse_source(source, filename)
-    if any(d.severity == "error" for d in diagnostics):
-        return {}, diagnostics
-    _, type_diags = type_check(module)
-    diagnostics.extend(type_diags)
-    if any(d.severity == "error" for d in diagnostics):
-        return {}, diagnostics
-    stages = {"typed": copy.deepcopy(module)}
-    simplify(module)
-    stages["simplified"] = copy.deepcopy(module)
-    materialize_casts(module)
-    stages["explicit"] = copy.deepcopy(module)
-    to_generator_form(module)
-    stages["generators"] = copy.deepcopy(module)
-    diagnostics.extend(optimize(module, fast_math=fast_math, lift=lift, fuse=fuse))
-    stages["optimized"] = module
-    return stages, diagnostics
-
-
-def check_module(module: Operation) -> list[Diagnostic]:
-    """Structural plus semantic verification of a typed module."""
-    return verify(module) + verify_semantic(module)
+    stages: dict[str, Operation] = {}
+    options = dict(fast_math=fast_math, lift=lift, fuse=fuse)
+    result = _compile(source, filename, "optimized", options, stages)
+    if not result.ok:
+        return {}, result.diagnostics
+    stages["optimized"] = result.module
+    return stages, result.diagnostics + result.warnings

@@ -178,7 +178,9 @@ def _read_rational(blob: bytes, path: str) -> TensorValue:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedHeaderError(f"{path}: not a textual rational tensor") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # The extents line is empty for a rank-0 tensor, so the header is read
+    # by position and blank lines are dropped only among the entries.
+    lines = text.splitlines()
     if len(lines) < 3 or lines[0].split() != ["EKLR", "1"] or lines[1] != "rational":
         raise MalformedHeaderError(f"{path}: malformed rational tensor header")
     try:
@@ -186,7 +188,7 @@ def _read_rational(blob: bytes, path: str) -> TensorValue:
     except ValueError as exc:
         raise MalformedHeaderError(f"{path}: bad extents line") from exc
     count = math.prod(shape)
-    entries = lines[3:]
+    entries = [ln for ln in lines[3:] if ln.strip()]
     if len(entries) != count:
         raise TruncatedPayloadError(
             f"{path}: expected {count} rational entries, found {len(entries)}"

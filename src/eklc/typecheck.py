@@ -17,8 +17,6 @@ from .diagnostics import Diagnostic, Location, error
 from .ir import Operation, REGISTRY, Value, transmute_value, walk_lexical
 from .types import (
     EXPR,
-    RATIONAL,
-    ArrayType,
     RationalType,
     Type,
     is_numeric_scalar,
@@ -163,14 +161,6 @@ def meet_into(interval: Interval, bound: TypeBound) -> bool:
     if bound.kind is BoundKind.EQUIVALENT and not interval.is_equivalent():
         raise ContradictionError(f"equivalence {t} conflicts with {interval}")
     return changed
-
-
-def meet(a: TypeBound, b: TypeBound) -> Interval:
-    """Meet two bounds; commutative. Raises ContradictionError on conflict."""
-    iv = Interval()
-    meet_into(iv, a)
-    meet_into(iv, b)
-    return iv
 
 
 @dataclass
@@ -358,25 +348,6 @@ class FixPointTypeChecker:
                         )
                     )
         return diags
-
-    def dump_bounds(self) -> str:
-        """Debug listing of value bounds at fix-point."""
-        names: dict[Value, str] = {}
-        n = 0
-        for op in self._ops:
-            for region in op.regions:
-                for arg in region.block.args:
-                    names[arg] = f"%{n}"
-                    n += 1
-            for res in op.results:
-                names[res] = f"%{n}"
-                n += 1
-        # Re-walk in definition order for a stable listing.
-        lines = []
-        for v, name in names.items():
-            iv = self.state.bounds.get(v)
-            lines.append(f"{name}: {iv if iv else 'unbounded'}")
-        return "\n".join(lines)
 
 
 def run_fixpoint(module: Operation) -> FixPointTypeChecker:

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from eklc.cli import main
 from eklc.tensor_io import TensorValue, read_tensor, write_tensor
-from eklc.types import F64
+from eklc.types import F64, RATIONAL
 
 GOOD = """
 kernel scale(in x: f64[4], in j: index<4>[4], out y: f64[4]) {
@@ -158,3 +159,27 @@ def test_stats_reports_lifting_ratio(tmp_path, capsys):
         "generators",
         "optimized",
     }
+
+
+def test_stats_honours_no_lift(tmp_path, capsys):
+    src = tmp_path / "sf.ekl"
+    src.write_text(SUMFACT)
+    assert main(["stats", str(src), "--no-lift", "--json"]) == 0
+    entry = json.loads(capsys.readouterr().out)["kernels"][0]
+    assert entry["lifted"]["multiplies"] == entry["naive"]["multiplies"]
+    assert entry["multiply_ratio"] == 1.0
+
+
+def test_rational_division_by_zero_is_reported(tmp_path, capsys):
+    src = tmp_path / "div.ekl"
+    src.write_text(
+        "kernel quot(in a: rational[2], in b: rational[2], out c: rational[2]) {\n"
+        "  let c[i] = a[i] / b[i];\n"
+        "}\n"
+    )
+    b = tmp_path / "b.eklr"
+    write_tensor(b, TensorValue(RATIONAL, (2,), np.array([Fraction(0), Fraction(1)])))
+    assert main(["run", str(src), "--in", f"b={b}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "division by zero" in err
+    assert f"{src}:2:" in err

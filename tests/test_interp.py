@@ -11,10 +11,12 @@ from eklc.interp import (
     BoundsTrap,
     Interpreter,
     eval_ast_oracle,
+    eval_kernel,
     eval_module,
     kernels_of,
     random_inputs,
 )
+from eklc.ir_text import parse_ir
 from eklc.pipeline import compile_source
 
 
@@ -135,3 +137,36 @@ def test_random_inputs_follow_declared_ranges():
     # Seeded generation is reproducible.
     again = random_inputs(kernel, np.random.default_rng(123))
     np.testing.assert_array_equal(inputs["f"], again["f"])
+
+
+def test_a_reused_grid_value_is_not_overwritten():
+    # %6 feeds both %7 and %8, so computing %7 must not reuse %6's array.
+    module = parse_ir(
+        """
+ekl.program (
+{
+  ekl.kernel (
+  {
+  ^(%0: array<f64[3]>, %1: array<f64[3]>):
+    %2 = ekl.assoc (
+    {
+    ^(%3: index<3>):
+      %4 = ekl.subscript(%0, %3) : f64
+      %5 = ekl.subscript(%1, %3) : f64
+      %6 = ekl.mul(%4, %5) : f64
+      %7 = ekl.mul(%6, %5) : f64
+      %8 = ekl.add(%7, %6) : f64
+      ekl.yield(%8)
+    }
+    ) : array<f64[3]>
+    ekl.output(%2) {name = "y", type = array<f64[3]>}
+  }
+  ) {in0 = "a", in1 = "b", name = "k", out0 = "y", out0_type = array<f64[3]>}
+}
+)
+"""
+    )
+    kernel = kernels_of(module)[0]
+    inputs = {"a": np.array([1.0, 2.0, 3.0]), "b": np.array([2.0, 3.0, 4.0])}
+    outputs, _ = eval_kernel(kernel, inputs)
+    np.testing.assert_array_equal(outputs["y"], [6.0, 24.0, 60.0])

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from eklc.ir import (
     Block,
     IntAttr,
     Operation,
+    REGISTRY,
     Region,
     StringAttr,
     clone_op,
@@ -15,6 +20,7 @@ from eklc.ir import (
     verify,
     walk_lexical,
 )
+from eklc.ir_text import parse_ir
 from eklc.ops import number_literal
 from eklc.types import EXPR, F64
 
@@ -93,3 +99,30 @@ def test_structural_equality_is_shape_and_attr_sensitive():
     k2 = m2.body().ops[0]
     k2.attrs["name"] = StringAttr("other")
     assert not structurally_equal(m1, m2)
+
+
+def test_documented_op_kinds_match_the_registry():
+    doc = (Path(__file__).parent.parent / "docs" / "ir-format.md").read_text()
+    section = doc.split("## Operations", 1)[1].split("\n## ", 1)[0]
+    assert sorted(set(re.findall(r"`(ekl\.[a-z_]+)`", section))) == REGISTRY.kinds()
+
+
+# Op kinds the dialect does not register, each as one op of a kernel body.
+UNREGISTERED = {
+    "ekl.if": "%2 = ekl.if(%1, %0, %0) : f64",
+    "ekl.zip": "%2 = ekl.zip(%0) (\n{\n^(%3: f64):\n  ekl.yield(%3)\n}\n) : f64",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREGISTERED))
+def test_unregistered_kinds_are_diagnosed(kind):
+    text = (
+        "ekl.program (\n{\n  ekl.kernel (\n  {\n  ^(%0: f64, %1: bool):\n"
+        f"    {UNREGISTERED[kind]}\n"
+        '    ekl.output(%2) {name = "y", type = f64}\n'
+        "  }\n"
+        '  ) {in0 = "x", in1 = "c", name = "k", out0 = "y", out0_type = f64}\n'
+        "}\n)\n"
+    )
+    diags = verify(parse_ir(text))
+    assert [d.message for d in diags] == [f"unregistered op kind '{kind}'"]

@@ -79,6 +79,12 @@ def test_bad_extent_is_reported():
     assert any(d.severity == "error" for d in diags)
 
 
+def test_extent_dividing_by_zero_is_reported():
+    _, diags = parse_source("kernel k(in a: f64[1 / 0], out y: f64) { let y = a[0]; }")
+    notes = [n.message for d in diags for n in d.notes]
+    assert len(notes) == 1 and notes[0].endswith("1:22: division by zero")
+
+
 def test_pseudo_subscripts_parse():
     module, diags = parse_source(
         "kernel k(in A: f64[2,3], out y: f64[2,3]) { let y = A[:, ...]; }"

@@ -53,6 +53,16 @@ def test_rational_sidecar_round_trip(tmp_path):
     assert (back.data == data).all()
 
 
+def test_rank0_rational_round_trip(tmp_path):
+    # A rank-0 file has an empty extents line that the reader must keep.
+    path = tmp_path / "s.eklr"
+    value = np.array(Fraction(-3, 4), dtype=object)
+    write_tensor(path, TensorValue(RATIONAL, (), value))
+    back = read_tensor(path)
+    assert back.kind == RATIONAL and back.shape == ()
+    assert back.to_runtime() == Fraction(-3, 4)
+
+
 def test_bad_magic_is_a_malformed_header(tmp_path):
     path = tmp_path / "bad.eklt"
     path.write_bytes(b"NOPE" + b"\x00" * 12)
