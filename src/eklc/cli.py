@@ -69,6 +69,13 @@ def _emit(diagnostics, source: str | None = None) -> bool:
     return any(d.severity == "error" for d in diagnostics)
 
 
+def _report_trap(exc: EvalError) -> int:
+    """Report a runtime trap of the evaluator; returns the exit code."""
+    tag = " [bounds-trap]" if isinstance(exc, BoundsTrap) else ""
+    print(f"error{tag}: {exc}", file=sys.stderr)
+    return EXIT_DIAGNOSTICS
+
+
 def _parse_bindings(pairs: list[str], flag: str) -> dict[str, str]:
     bindings = {}
     for item in pairs:
@@ -158,12 +165,8 @@ def cmd_run(args) -> int:
             )
         try:
             outputs, counters = eval_kernel(kernel, inputs)
-        except BoundsTrap as exc:
-            print(f"error [bounds-trap]: {exc}", file=sys.stderr)
-            return EXIT_DIAGNOSTICS
         except EvalError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DIAGNOSTICS
+            return _report_trap(exc)
         written = {}
         for name, declared in kernel_outputs(kernel):
             if name in out_paths:
@@ -223,8 +226,11 @@ def cmd_stats(args) -> int:
     lifted_kernels = kernels_of(lifted_stages["optimized"])
     for naive_k, lifted_k in zip(naive_kernels, lifted_kernels):
         inputs = random_inputs(naive_k, np.random.default_rng(rng_seed))
-        _, naive_c = eval_kernel(naive_k, inputs)
-        _, lifted_c = eval_kernel(lifted_k, inputs)
+        try:
+            _, naive_c = eval_kernel(naive_k, inputs)
+            _, lifted_c = eval_kernel(lifted_k, inputs)
+        except EvalError as exc:
+            return _report_trap(exc)
         ratio = (
             naive_c.multiplies / lifted_c.multiplies if lifted_c.multiplies else None
         )

@@ -5,6 +5,17 @@ tree walker used as a semantic baseline, and `Interpreter`/`eval_kernel`
 is the instrumented evaluator that honors the deduced machine types and
 counts scalar arithmetic operations. Both enforce the bounds-safety
 contract at runtime.
+
+The oracle computes on `Fraction`s. The evaluator holds a rational array
+as a `_Pair`: a NumPy object array of Python-int numerators and one of
+denominators, always positive. Kernel inputs become pairs once, when the
+kernel starts. On the vectorized path `add`, `sub`, `mul`, `div` and `neg`
+work on the two arrays and run no gcd, comparisons cross-multiply, and a
+plain-sum reduction puts its terms over the lcm of their denominators.
+A pair is brought to lowest terms with one `np.gcd` at every reduction
+result and at every assoc result stored in the environment, so its
+magnitudes stay those of reduced `Fraction`s. Reduced `Fraction`s are
+built at `ekl.output` and wherever a per-element handler reads a pair.
 """
 
 from __future__ import annotations
@@ -103,6 +114,7 @@ def coerce(value, t: Type):
     """
     scalar = scalar_of(t)
     shape = shape_of(t)
+    value = _fractions(value)
     if isinstance(scalar, RationalType):
         if not shape and not isinstance(value, np.ndarray):
             return _to_fraction(value)
@@ -187,15 +199,111 @@ class _VecUnsupported(Exception):
 
 
 _VEC_SCALARS = (IntType, IndexType, BoolType, RationalType, FloatType)
-_FRACTIONIZE = np.frompyfunc(_to_fraction, 1, 1)
+# Exact (numerator, denominator) of each element, lowest terms and a
+# positive denominator: Fractions, ints, bools and floats all provide it.
+_RATIO = np.frompyfunc(operator.methodcaller("as_integer_ratio"), 1, 2)
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
 
 
-def _vec_convert(arr: np.ndarray, scalar: Type) -> np.ndarray:
-    """Convert a grid array to the runtime representation of a scalar kind."""
+class _Pair:
+    """Exact rational array: Python-int numerators over positive Python-int
+    denominators, as two NumPy object arrays of one shape. Not necessarily
+    in lowest terms; see `reduced`."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den) -> None:
+        # Ufuncs on 0-d object arrays return bare Python ints.
+        self.num = np.asarray(num, dtype=object)
+        self.den = np.asarray(den, dtype=object)
+
+    @staticmethod
+    def of(value) -> _Pair:
+        """The pair form of a rational, integer, bool or float value."""
+        if isinstance(value, _Pair):
+            return value
+        arr = np.asarray(value)
+        if arr.dtype == object or arr.dtype.kind == "f":
+            return _Pair(*_RATIO(arr))
+        num = arr.astype(np.int64).astype(object)
+        return _Pair(num, np.ones(arr.shape, dtype=object))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.num.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.num.ndim
+
+    def reduced(self) -> _Pair:
+        g = np.gcd(self.num, self.den)
+        return _Pair(self.num // g, self.den // g)
+
+    def fractions(self):
+        """Reduced Fractions: an object array, or one Fraction when 0-d."""
+        return _FRACTION(self.num, self.den)
+
+    def to(self, scalar: Type) -> np.ndarray:
+        """Cast to a machine kind, as `float`, `int` and `bool` cast a
+        Fraction: floats round correctly and integers truncate toward
+        zero."""
+        if isinstance(scalar, FloatType):
+            out = np.asarray(self.num / self.den)
+        elif isinstance(scalar, BoolType):
+            out = np.asarray(self.num != 0)
+        else:
+            q = np.abs(self.num) // self.den
+            out = np.where(self.num < 0, -q, q)
+        return out.astype(dtype_for(scalar))
+
+    def __neg__(self) -> _Pair:
+        return _Pair(-self.num, self.den)
+
+    def __add__(self, other: _Pair) -> _Pair:
+        return _Pair(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other: _Pair) -> _Pair:
+        return _Pair(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other: _Pair) -> _Pair:
+        return _Pair(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other: _Pair) -> _Pair:
+        if (other.num == 0).any():
+            raise ZeroDivisionError
+        num = self.num * other.den
+        den = self.den * other.num
+        flip = other.num < 0
+        return _Pair(np.where(flip, -num, num), np.where(flip, -den, den))
+
+    def sum(self) -> _Pair:
+        """Sum over the last axis, over the lcm of its denominators."""
+        den = np.lcm.reduce(self.den, axis=-1)
+        num = (self.num * (den[..., None] // self.den)).sum(axis=-1)
+        return _Pair(num, den)
+
+
+def _each(x, f):
+    """Apply an array function to a plain array, or to both arrays of a
+    pair."""
+    return _Pair(f(x.num), f(x.den)) if isinstance(x, _Pair) else f(x)
+
+
+def _fractions(value):
+    """A runtime value with any pair read as reduced Fractions."""
+    return value.fractions() if isinstance(value, _Pair) else value
+
+
+def _vec_convert(x, scalar: Type):
+    """Convert a grid value to the runtime representation of a scalar kind:
+    a pair for rationals, a NumPy array of the machine dtype otherwise."""
     if isinstance(scalar, RationalType):
-        return arr if arr.dtype == object else _FRACTIONIZE(arr)
+        return _Pair.of(x)
+    if isinstance(x, _Pair):
+        return x.to(scalar)
     dt = np.dtype(dtype_for(scalar))
-    return arr if arr.dtype == dt else arr.astype(dt)
+    return x if x.dtype == dt else x.astype(dt)
 
 
 class Interpreter:
@@ -241,7 +349,10 @@ class Interpreter:
                     f"input '{name}' has shape {np.shape(value)}, "
                     f"expected {declared}"
                 )
-            env[arg] = coerce(value, arg.type)
+            value = coerce(value, arg.type)
+            if isinstance(scalar_of(arg.type), RationalType) and declared:
+                value = _Pair.of(value)
+            env[arg] = value
         self.outputs = {}
         self._exec_block(block, env)
         return self.outputs
@@ -308,7 +419,7 @@ class Interpreter:
     def _op_cmp(self, op: Operation, env) -> None:
         rt = self._result_type(op)
         ts = [scalar_of(v.type) for v in op.operands]
-        vals = [env[v] for v in op.operands]
+        vals = [_fractions(env[v]) for v in op.operands]
         if any(isinstance(t, FloatType) for t in ts):
             vals = [self._materialize_operand(v, F64) for v in vals]
         a, b = vals
@@ -318,7 +429,7 @@ class Interpreter:
 
     def _op_subscript(self, op: Operation, env) -> None:
         rt = self._result_type(op)
-        src = np.asarray(env[op.operands[0]])
+        src = np.asarray(_fractions(env[op.operands[0]]))
         rank = src.ndim
         slots = []
         for v in op.operands[1:]:
@@ -364,7 +475,7 @@ class Interpreter:
     def _op_choice(self, op: Operation, env) -> None:
         rt = self._result_type(op)
         cond = env[op.operands[0]]
-        a, b = env[op.operands[1]], env[op.operands[2]]
+        a, b = _fractions(env[op.operands[1]]), _fractions(env[op.operands[2]])
         if np.shape(cond) == () and np.shape(a) == () and np.shape(b) == ():
             env[op.result] = coerce(a if bool(cond) else b, rt)
             return
@@ -402,20 +513,20 @@ class Interpreter:
     # element-at-a-time loop. Counters are accumulated with the loop's
     # semantics: one count per grid point per scalar operation.
 
-    def _try_vectorized(self, op: Operation, env) -> np.ndarray | None:
+    def _try_vectorized(self, op: Operation, env) -> np.ndarray | _Pair | None:
         tmp = OpCounters()
         try:
             arr = self._vec_assoc(op, env, {}, (), tmp)
         except _VecUnsupported:
             return None
         rt = op.result.type
-        out = np.array(
-            np.broadcast_to(_vec_convert(arr, rt.scalar), rt.shape),
-            dtype=dtype_for(rt.scalar),
-        )
+        arr = _vec_convert(arr, rt.scalar)
+        if isinstance(arr, _Pair):
+            arr = arr.reduced()
+        out = _each(arr, lambda a: np.array(np.broadcast_to(a, rt.shape)))
         for key, n in tmp.as_dict().items():
             setattr(self.counters, key, getattr(self.counters, key) + n)
-        self.counters.intermediate_elements += out.size
+        self.counters.intermediate_elements += _size(rt)
         return out
 
     def _vec_lookup(self, v: Value, venv: dict, env: dict):
@@ -428,9 +539,12 @@ class Interpreter:
         value = env[v]
         if isinstance(value, PseudoType):
             raise _VecUnsupported
-        if isinstance(value, np.ndarray) and value.ndim > 0:
-            return ("w", value)
-        return ("g", np.asarray(value))
+        if isinstance(scalar_of(v.type), RationalType):
+            # Per-element handlers leave Fractions in the environment.
+            value = _Pair.of(value)
+        else:
+            value = np.asarray(value)
+        return ("w" if value.ndim > 0 else "g", value)
 
     def _vec_assoc(
         self,
@@ -439,9 +553,10 @@ class Interpreter:
         genv: dict,
         grid: tuple[int, ...],
         counters: OpCounters,
-    ) -> np.ndarray:
-        """Evaluate one assoc vectorized; returns an array broadcastable to
-        grid + extents. genv carries grid entries of enclosing generators."""
+    ) -> np.ndarray | _Pair:
+        """Evaluate one assoc vectorized; returns an array or pair
+        broadcastable to grid + extents. genv carries grid entries of
+        enclosing generators."""
         block = op.body()
         for arg in block.args:
             if not isinstance(arg.type, IndexType):
@@ -453,8 +568,7 @@ class Interpreter:
         venv: dict[Value, tuple] = {}
         for v, entry in genv.items():
             if entry[0] == "g":
-                arr = entry[1]
-                venv[v] = ("g", arr.reshape(arr.shape + pad))
+                venv[v] = ("g", _each(entry[1], lambda a: a.reshape(a.shape + pad)))
             elif entry[0] == "w":
                 venv[v] = entry
         for i, arg in enumerate(block.args):
@@ -497,22 +611,25 @@ class Interpreter:
                     raise _VecUnsupported
                 attr = body_op.attrs["value"]
                 if isinstance(attr, DenseAttr):
+                    dense = coerce(
+                        np.array(attr.values, dtype=object).reshape(
+                            shape_of(attr.type)
+                        ),
+                        attr.type,
+                    )
                     venv[body_op.result] = (
                         "w",
-                        np.asarray(
-                            coerce(
-                                np.array(attr.values, dtype=object).reshape(
-                                    shape_of(attr.type)
-                                ),
-                                attr.type,
-                            )
-                        ),
+                        _vec_convert(np.asarray(dense), scalar_of(attr.type)),
                     )
                     continue
                 value = _attr_value(attr)
                 if isinstance(t, BoolType):
                     value = bool(value)
-                venv[body_op.result] = ("g", np.asarray(coerce(value, scalar_of(t))))
+                scalar = scalar_of(t)
+                venv[body_op.result] = (
+                    "g",
+                    _vec_convert(np.asarray(coerce(value, scalar)), scalar),
+                )
             elif kind in _ARITH_FUNCS:
                 if isinstance(rt, ArrayType):
                     raise _VecUnsupported
@@ -534,11 +651,11 @@ class Interpreter:
                 if isinstance(rs, IndexType) and isinstance(out, np.ndarray):
                     if ((out < 0) | (out >= rs.bound)).any():
                         raise BoundsTrap(f"value out of range for {rs}")
-                venv[body_op.result] = ("g", np.asarray(out))
+                venv[body_op.result] = ("g", _each(out, np.asarray))
             elif kind == "ekl.neg":
                 out = -_vec_convert(grid_of(body_op.operands[0]), rs)
                 counters.adds += points
-                venv[body_op.result] = ("g", np.asarray(out))
+                venv[body_op.result] = ("g", _each(out, np.asarray))
             elif kind == "ekl.cmp":
                 ts = [scalar_of(v.type) for v in body_op.operands]
                 a = grid_of(body_op.operands[0])
@@ -546,6 +663,9 @@ class Interpreter:
                 if any(isinstance(t, FloatType) for t in ts):
                     a = _vec_convert(a, F64)
                     b = _vec_convert(b, F64)
+                elif any(isinstance(t, RationalType) for t in ts):
+                    a, b = _Pair.of(a), _Pair.of(b)
+                    a, b = a.num * b.den, b.num * a.den
                 out = _CMP_FUNCS[body_op.attrs["pred"].value](a, b)
                 counters.comparisons += points
                 venv[body_op.result] = ("g", np.asarray(out))
@@ -569,14 +689,20 @@ class Interpreter:
                     key.append(idx)
                 if len(key) != src.ndim:
                     raise _VecUnsupported
-                out = src[tuple(key)]
+                out = _each(src, lambda a: np.asarray(a[tuple(key)]))
                 counters.gather_reads += points
-                venv[body_op.result] = ("g", _vec_convert(np.asarray(out), rs))
+                venv[body_op.result] = ("g", _vec_convert(out, rs))
             elif kind == "ekl.choice":
                 cond = grid_of(body_op.operands[0])
                 a = _vec_convert(grid_of(body_op.operands[1]), rs)
                 b = _vec_convert(grid_of(body_op.operands[2]), rs)
-                venv[body_op.result] = ("g", np.asarray(np.where(cond, a, b)))
+                if isinstance(a, _Pair):
+                    out = _Pair(
+                        np.where(cond, a.num, b.num), np.where(cond, a.den, b.den)
+                    )
+                else:
+                    out = np.asarray(np.where(cond, a, b))
+                venv[body_op.result] = ("g", out)
             elif kind == "ekl.cast":
                 venv[body_op.result] = (
                     "g",
@@ -612,25 +738,30 @@ class Interpreter:
                 init = coerce(_attr_value(body_op.attrs["init"]), rs)
                 if n == 0:
                     out = np.broadcast_to(np.asarray(init), full)
-                elif isinstance(rs, FloatType):
-                    # Floats fold sequentially along the reduced axis so the
-                    # result is bit-identical to the element-at-a-time loop.
-                    mat = _vec_convert(
-                        np.broadcast_to(arr, inner_full).reshape(full + (-1,)), rs
-                    )
-                    acc = np.full(full, init, dtype=mat.dtype)
-                    for t in range(n):
-                        acc = acc + mat[..., t]
-                    out = acc
                 else:
-                    mat = _vec_convert(
-                        np.broadcast_to(arr, inner_full).reshape(full + (-1,)), rs
+                    mat = _each(
+                        _vec_convert(arr, rs),
+                        lambda a: np.broadcast_to(a, inner_full).reshape(full + (-1,)),
                     )
-                    out = np.add.reduce(mat, axis=-1)
-                    if init != 0:
-                        out = init + out
+                    if isinstance(rs, FloatType):
+                        # Floats fold sequentially along the reduced axis so
+                        # the result is bit-identical to the element-at-a-time
+                        # loop.
+                        acc = np.full(full, init, dtype=mat.dtype)
+                        for t in range(n):
+                            acc = acc + mat[..., t]
+                        out = acc
+                    elif isinstance(mat, _Pair):
+                        out = mat.sum()
+                        if init != 0:
+                            out = _Pair.of(init) + out
+                        out = out.reduced()
+                    else:
+                        out = np.add.reduce(mat, axis=-1)
+                        if init != 0:
+                            out = init + out
                 counters.adds += points * n
-                venv[body_op.result] = ("g", _vec_convert(np.asarray(out), rs))
+                venv[body_op.result] = ("g", _vec_convert(_each(out, np.asarray), rs))
             else:
                 raise _VecUnsupported
         if result_value is None:
@@ -639,7 +770,7 @@ class Interpreter:
 
     def _op_reduce(self, op: Operation, env) -> None:
         rt = self._result_type(op)
-        src = np.asarray(env[op.operands[0]])
+        src = np.asarray(_fractions(env[op.operands[0]]))
         acc_arg, elem_arg = op.body().args
         acc = coerce(_attr_value(op.attrs["init"]), rt)
         for x in src.flat:
@@ -653,7 +784,9 @@ class Interpreter:
 
     def _op_broadcast(self, op: Operation, env) -> None:
         rt = self._result_type(op)
-        value = np.broadcast_to(np.asarray(env[op.operands[0]]), shape_of(rt))
+        value = np.broadcast_to(
+            np.asarray(_fractions(env[op.operands[0]])), shape_of(rt)
+        )
         env[op.result] = coerce(value.copy(), rt)
 
     def _op_output(self, op: Operation, env) -> None:

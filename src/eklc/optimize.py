@@ -426,48 +426,61 @@ def if_to_choice(module: Operation) -> Operation:
 
 
 def fuse_producers(module: Operation) -> Operation:
-    """Inline a single-use assoc into its one per-element consumer."""
-    changed = True
-    while changed:
-        changed = False
-        for op in list(walk_lexical(module)):
-            if op.kind != "ekl.assoc" or op.parent is None:
-                continue
-            if len(op.result.uses) != 1:
-                continue
-            user, idx = op.result.uses[0]
-            if user.kind != "ekl.subscript" or idx != 0:
-                continue
-            args = op.body().args
-            slots = user.operands[1:]
-            # Bijective read: the consumer indexes the producer with exactly
-            # its own enclosing index arguments, in order.
-            enclosing = user.parent
-            if enclosing is None or enclosing.parent is None:
-                continue
-            owner = enclosing.parent.parent
-            if owner is None or owner.kind != "ekl.assoc":
-                continue
-            if list(slots) != list(enclosing.args) or len(slots) != len(args):
-                continue
-            if any(
-                isinstance(scalar_of(s.type), PseudoType) for s in slots
-            ):
-                continue
-            mapping = dict(zip(args, slots))
-            target = user.parent
-            for body_op in op.body().ops[:-1]:
-                target.insert_before(user, clone_op(body_op, mapping))
-            yielded = op.body().ops[-1].operands[0]
-            replacement = mapping.get(yielded, yielded)
-            user.result.replace_all_uses_with(replacement)
-            erase_tree(user)
-            erase_tree(op)
-            changed = True
-            break
+    """Inline a single-use assoc into its one per-element consumer.
+
+    One pre-order walk. A fusion erases the producer and clones its body in
+    front of the consumer, which comes later in pre-order, and it leaves the
+    uses of every other assoc as they were; so no op earlier in the walk can
+    become fusable, and the walk goes on from the producer's index.
+    """
+    for region in module.regions:
+        _fuse_in_block(region.block)
     for region in module.regions:
         _dce_block(region.block)
     return module
+
+
+def _fuse_in_block(block: Block) -> None:
+    i = 0
+    while i < len(block.ops):
+        op = block.ops[i]
+        if _fuse(op):
+            continue
+        for region in op.regions:
+            _fuse_in_block(region.block)
+        i += 1
+
+
+def _fuse(op: Operation) -> bool:
+    """Fuse `op` into its consumer if it is a fusable producer."""
+    if op.kind != "ekl.assoc" or len(op.result.uses) != 1:
+        return False
+    user, idx = op.result.uses[0]
+    if user.kind != "ekl.subscript" or idx != 0:
+        return False
+    args = op.body().args
+    slots = user.operands[1:]
+    # Bijective read: the consumer indexes the producer with exactly its
+    # own enclosing index arguments, in order.
+    enclosing = user.parent
+    if enclosing is None or enclosing.parent is None:
+        return False
+    owner = enclosing.parent.parent
+    if owner is None or owner.kind != "ekl.assoc":
+        return False
+    if list(slots) != list(enclosing.args) or len(slots) != len(args):
+        return False
+    if any(isinstance(scalar_of(s.type), PseudoType) for s in slots):
+        return False
+    mapping = dict(zip(args, slots))
+    for body_op in op.body().ops[:-1]:
+        enclosing.insert_before(user, clone_op(body_op, mapping))
+    yielded = op.body().ops[-1].operands[0]
+    replacement = mapping.get(yielded, yielded)
+    user.result.replace_all_uses_with(replacement)
+    erase_tree(user)
+    erase_tree(op)
+    return True
 
 
 # --- rational lowering -------------------------------------------------------

@@ -3,6 +3,13 @@ from __future__ import annotations
 import os
 import sys
 
+from hypothesis import settings
+
+# Every run draws the same examples, and a slow phase of the machine cannot
+# fail a test on Hypothesis' per-example deadline.
+settings.register_profile("eklc", derandomize=True, deadline=None)
+settings.load_profile("eklc")
+
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(TESTS_DIR)
 CORPUS_DIR = os.path.join(REPO_ROOT, "corpus")

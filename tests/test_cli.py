@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
 from eklc.cli import main
 from eklc.tensor_io import TensorValue, read_tensor, write_tensor
 from eklc.types import F64, RATIONAL
@@ -183,3 +187,21 @@ def test_rational_division_by_zero_is_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "division by zero" in err
     assert f"{src}:2:" in err
+
+
+def test_stats_reports_a_runtime_trap_without_a_traceback(tmp_path):
+    src = tmp_path / "div.ekl"
+    src.write_text(
+        "kernel quot(in a: rational[40], in b: rational[40], out c: rational[40]) {\n"
+        "  let c[i] = a[i] / b[i];\n"
+        "}\n"
+    )
+    # Seed 2 draws a zero into b. A subprocess shows what a user sees.
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "eklc.cli", "stats", str(src), "--seed", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "division by zero" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import eklc.interp as interp_mod
 from conftest import corpus_source
 from eklc.interp import (
     BoundsTrap,
+    EvalError,
     Interpreter,
     eval_ast_oracle,
     eval_kernel,
@@ -170,3 +175,81 @@ ekl.program (
     inputs = {"a": np.array([1.0, 2.0, 3.0]), "b": np.array([2.0, 3.0, 4.0])}
     outputs, _ = eval_kernel(kernel, inputs)
     np.testing.assert_array_equal(outputs["y"], [6.0, 24.0, 60.0])
+
+
+# Rationals with numerators and denominators up to 2**70; integers() draws
+# zero numerators too. _SMALL keeps products below 2**31 for si32 casts.
+# The oracle leaves the cast to a declared machine output to its caller:
+# each kernel names the Python conversion that gives it.
+_BIG = 2**70
+_RATIONALS = st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG))
+_SMALL = st.builds(Fraction, st.integers(-(2**15), 2**15), st.integers(1, _BIG))
+_ABC = "in a: rational[4], in b: rational[4], in c: rational[4]"
+_EXACT_KERNELS = {
+    "arith": (
+        f"kernel k({_ABC}, out y: rational[4]) "
+        "{ let y[i] = (a[i] + b[i]) * c[i] - a[i] / b[i] + -c[i]; }",
+        _RATIONALS,
+        Fraction,
+    ),
+    "if": (
+        f"kernel k({_ABC}, out y: rational[4]) {{ let y[i] = "
+        "if (a[i] / b[i] < c[i]) a[i] - b[i] "
+        "else if (a[i] >= c[i]) c[i] * a[i] "
+        "else if (b[i] != 0) b[i] / c[i] else -a[i]; }",
+        _RATIONALS,
+        Fraction,
+    ),
+    "f64": (
+        f"kernel k({_ABC}, out y: f64[4]) "
+        "{ let y[i] = a[i] * b[i] - c[i] / a[i]; }",
+        _RATIONALS,
+        float,
+    ),
+    "si32": (
+        f"kernel k({_ABC}, out y: si32[4]) {{ let y[i] = a[i] * b[i] - c[i]; }}",
+        _SMALL,
+        int,
+    ),
+    "lifted": (
+        "kernel k(in S: rational[3, 3], in u: rational[3, 3, 3], "
+        "out t: rational[3, 3, 3]) { let t[i, j, k] =+ (l, m, n) "
+        "S[l, i] * S[m, j] * S[n, k] * u[l, m, n]; }",
+        _RATIONALS,
+        Fraction,
+    ),
+}
+
+
+@functools.cache
+def _compiled(name):
+    src = _EXACT_KERNELS[name][0]
+    return _module(src, "optimized"), _module(src, "typed")
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_KERNELS))
+@given(data=st.data())
+def test_exact_evaluation_matches_the_oracle_bit_for_bit(name, data):
+    optimized, typed = _compiled(name)
+    _, elements, convert = _EXACT_KERNELS[name]
+    kernel = kernels_of(typed)[0]
+    inputs = {}
+    for i, arg in enumerate(kernel.body().args):
+        n = math.prod(arg.type.shape)
+        values = data.draw(st.lists(elements, min_size=n, max_size=n))
+        inputs[kernel.attrs[f"in{i}"].value] = np.array(
+            values, dtype=object
+        ).reshape(arg.type.shape)
+    try:
+        want = eval_ast_oracle(kernel, inputs)
+    except ZeroDivisionError:
+        with pytest.raises(EvalError, match="division by zero"):
+            eval_module(optimized, inputs)
+        return
+    got, counters = eval_module(optimized, inputs)
+    if name == "lifted":
+        assert counters.multiplies == 3 * 3**4
+    for out in want:
+        # repr of the Python values tells -0.0 from 0.0 and 1/2 from 0.5.
+        expected = [convert(x) for x in np.ravel(want[out])]
+        assert repr(np.ravel(got[out]).tolist()) == repr(expected)

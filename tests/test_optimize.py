@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from conftest import corpus_source
 from eklc.interp import eval_module, kernels_of, random_inputs
-from eklc.ir import walk_lexical
+from eklc.ir import Block, Operation, Region, clone_op, walk_lexical
+from eklc.ir_text import print_ir
+from eklc.optimize import fuse_producers
 from eklc.pipeline import compile_source
 from eklc.typecheck import verify_semantic
 
@@ -127,3 +131,30 @@ def test_corpus_kernels_survive_full_optimization():
         result = compile_source(corpus_source(name), name, stage="optimized")
         assert result.ok, (name, [str(d) for d in result.diagnostics])
         assert verify_semantic(result.module) == [], name
+
+
+def test_each_kernel_of_a_module_optimizes_as_it_does_alone():
+    names = (
+        "taumol_sw.ekl",
+        "inv_helm.ekl",
+        "elliptic_r.ekl",
+        "elliptic_d.ekl",
+        "convection.ekl",
+        "mini/taumol_small.ekl",
+        "mini/convection_l5.ekl",
+    )
+    sources = [
+        re.sub(r"\bkernel\s+(\w+)", rf"kernel \1_{copy}", corpus_source(name))
+        for copy in range(4)
+        for name in names
+    ]
+    module = _compiled("\n".join(sources))
+    # The walk left nothing fusable behind.
+    text = print_ir(module)
+    assert print_ir(fuse_producers(module)) == text
+    kernels = kernels_of(module)
+    assert len(kernels) == len(sources)
+    for source, kernel in zip(sources, kernels):
+        program = Operation("ekl.program", regions=[Region(Block())])
+        program.body().append(clone_op(kernel, {}))
+        assert print_ir(program) == print_ir(_compiled(source)), source[:40]
