@@ -1,28 +1,40 @@
-"""Reference interpreters for typed modules.
+"""Evaluators for typed modules.
 
 Two independent routes: `eval_ast_oracle` is a naive dynamically typed
-tree walker used as a semantic baseline, and `Interpreter`/`eval_kernel`
-is the instrumented evaluator that honors the deduced machine types and
+tree walker used as a semantic baseline, and `eval_kernel` runs the
+instrumented grid evaluator, which honors the deduced machine types and
 counts scalar arithmetic operations. Both enforce the bounds-safety
 contract at runtime.
 
-The oracle computes on `Fraction`s. The evaluator holds a rational array
+The grid evaluator follows the paper's parallel-first lowering: it walks
+each block once and evaluates every op over its generator grid with
+NumPy, never one element at a time. The kernel body runs over the empty
+grid; the body of an `ekl.assoc` runs over the enclosing grid followed
+by the assoc's own extents, and an `ekl.reduce` sums every element axis
+of its operand. A value is held as an array with one axis per grid axis
+of the block that defined it, of extent 1 where the value does not vary,
+followed by the axes of its own type. An op that reads a value defined
+over a shorter grid, or combines it with a value of higher rank, inserts
+axes of extent 1 between the two groups, so NumPy broadcasting never
+aligns a grid axis with an element axis. Counters follow the
+element-at-a-time model: one count per grid point per scalar op.
+
+The oracle computes on `Fraction`s. The evaluator holds a rational value
 as a `_Pair`: a NumPy object array of Python-int numerators and one of
 denominators, always positive. Kernel inputs become pairs once, when the
-kernel starts. On the vectorized path `add`, `sub`, `mul`, `div` and `neg`
-work on the two arrays and run no gcd, comparisons cross-multiply, and a
-plain-sum reduction puts its terms over the lcm of their denominators.
-A pair is brought to lowest terms with one `np.gcd` at every reduction
-result and at every assoc result stored in the environment, so its
-magnitudes stay those of reduced `Fraction`s. Reduced `Fraction`s are
-built at `ekl.output` and wherever a per-element handler reads a pair.
+kernel starts. `add`, `sub`, `mul`, `div` and `neg` work on the two
+arrays and run no gcd, comparisons cross-multiply, and a plain-sum
+reduction puts its terms over the lcm of their denominators. A pair is
+brought to lowest terms with one `np.gcd` at every reduction result and
+at every assoc result of the kernel body, so its magnitudes stay those
+of reduced `Fraction`s. Reduced `Fraction`s are built at `ekl.output`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +49,6 @@ from .ir import (
     kernels_of,
 )
 from .types import (
-    EXPR,
     F64,
     ArrayType,
     BoolType,
@@ -49,7 +60,6 @@ from .types import (
     Type,
     scalar_of,
     shape_of,
-    with_shape,
 )
 
 
@@ -72,13 +82,7 @@ class OpCounters:
     intermediate_elements: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "multiplies": self.multiplies,
-            "adds": self.adds,
-            "comparisons": self.comparisons,
-            "gather_reads": self.gather_reads,
-            "intermediate_elements": self.intermediate_elements,
-        }
+        return asdict(self)
 
 
 _INT_DTYPES = {8: np.int8, 16: np.int16, 32: np.int32, 64: np.int64}
@@ -114,26 +118,18 @@ def coerce(value, t: Type):
     """
     scalar = scalar_of(t)
     shape = shape_of(t)
-    value = _fractions(value)
     if isinstance(scalar, RationalType):
+        value = _fractions(value)
         if not shape and not isinstance(value, np.ndarray):
             return _to_fraction(value)
         arr = np.asarray(value, dtype=object)
         flat = [_to_fraction(x) for x in arr.ravel()]
         out = np.array(flat, dtype=object).reshape(arr.shape)
         return np.broadcast_to(out, shape).copy() if out.shape != shape else out
+    # A NumPy cast from objects applies int, float or bool to each element.
+    arr = value.to(scalar) if isinstance(value, _Pair) else np.asarray(value)
     dt = dtype_for(scalar)
-    if isinstance(scalar, (IntType, IndexType)):
-        conv = lambda x: int(x)  # noqa: E731
-    elif isinstance(scalar, FloatType):
-        conv = lambda x: float(x)  # noqa: E731
-    else:
-        conv = lambda x: bool(x)  # noqa: E731
-    arr = np.asarray(value)
-    if arr.dtype == object:
-        flat = [conv(x) for x in arr.ravel()]
-        arr = np.array(flat, dtype=dt).reshape(arr.shape)
-    elif arr.dtype != dt:
+    if arr.dtype != dt:
         arr = arr.astype(dt)
     if arr.shape != shape:
         arr = np.broadcast_to(arr, shape).copy()
@@ -145,10 +141,6 @@ def coerce(value, t: Type):
     if not shape:
         return arr[()]
     return arr
-
-
-def _size(t: Type) -> int:
-    return math.prod(shape_of(t))
 
 
 _ARITH_FUNCS = {
@@ -187,18 +179,11 @@ def _apply_arith(op: Operation, a, b, in_place: bool = False):
 
 
 def _attr_value(attr):
-    if isinstance(attr, RationalAttr):
-        return attr.value
-    if isinstance(attr, IntAttr):
+    if isinstance(attr, (RationalAttr, IntAttr)):
         return attr.value
     raise EvalError(f"cannot evaluate attribute {attr!r}")
 
 
-class _VecUnsupported(Exception):
-    """Internal: generator body falls outside the vectorized fast path."""
-
-
-_VEC_SCALARS = (IntType, IndexType, BoolType, RationalType, FloatType)
 # Exact (numerator, denominator) of each element, lowest terms and a
 # positive denominator: Fractions, ints, bools and floats all provide it.
 _RATIO = np.frompyfunc(operator.methodcaller("as_integer_ratio"), 1, 2)
@@ -240,14 +225,10 @@ class _Pair:
         g = np.gcd(self.num, self.den)
         return _Pair(self.num // g, self.den // g)
 
-    def fractions(self):
-        """Reduced Fractions: an object array, or one Fraction when 0-d."""
-        return _FRACTION(self.num, self.den)
-
     def to(self, scalar: Type) -> np.ndarray:
         """Cast to a machine kind, as `float`, `int` and `bool` cast a
         Fraction: floats round correctly and integers truncate toward
-        zero."""
+        zero. A value the kind cannot hold raises OverflowError."""
         if isinstance(scalar, FloatType):
             out = np.asarray(self.num / self.den)
         elif isinstance(scalar, BoolType):
@@ -279,60 +260,130 @@ class _Pair:
 
     def sum(self) -> _Pair:
         """Sum over the last axis, over the lcm of its denominators."""
-        den = np.lcm.reduce(self.den, axis=-1)
+        # On a 1-d pair the lcm is a bare Python int.
+        den = np.asarray(np.lcm.reduce(self.den, axis=-1))
         num = (self.num * (den[..., None] // self.den)).sum(axis=-1)
         return _Pair(num, den)
 
 
-def _each(x, f):
-    """Apply an array function to a plain array, or to both arrays of a
-    pair."""
-    return _Pair(f(x.num), f(x.den)) if isinstance(x, _Pair) else f(x)
+def _each(f, *xs):
+    """Apply an array function to plain arrays, or to the numerators and
+    to the denominators of pairs."""
+    if isinstance(xs[0], _Pair):
+        return _Pair(f(*(x.num for x in xs)), f(*(x.den for x in xs)))
+    return f(*xs)
 
 
 def _fractions(value):
-    """A runtime value with any pair read as reduced Fractions."""
-    return value.fractions() if isinstance(value, _Pair) else value
+    """A runtime value with any pair read as reduced Fractions: an object
+    array, or one Fraction when 0-d."""
+    return _FRACTION(value.num, value.den) if isinstance(value, _Pair) else value
 
 
-def _vec_convert(x, scalar: Type):
-    """Convert a grid value to the runtime representation of a scalar kind:
-    a pair for rationals, a NumPy array of the machine dtype otherwise."""
+# --- the grid evaluator ------------------------------------------------------
+
+
+def _convert(x, scalar: Type, op: Operation):
+    """Convert a held value to the representation of a scalar kind: a pair
+    for rationals, a NumPy array of the machine dtype otherwise. A rational
+    that the machine kind cannot hold traps at `op`."""
     if isinstance(scalar, RationalType):
         return _Pair.of(x)
     if isinstance(x, _Pair):
-        return x.to(scalar)
+        try:
+            return x.to(scalar)
+        except OverflowError:
+            raise EvalError(f"{op.location}: value out of range for {scalar}") from None
     dt = np.dtype(dtype_for(scalar))
     return x if x.dtype == dt else x.astype(dt)
 
 
-class Interpreter:
-    """Instrumented evaluator for fully typed modules."""
+def _check_index(x, scalar: IndexType, op: Operation) -> None:
+    if ((x < 0) | (x >= scalar.bound)).any():
+        raise BoundsTrap(f"{op.location}: value out of range for {scalar}")
 
-    def __init__(self, counters: OpCounters | None = None) -> None:
-        self.counters = counters if counters is not None else OpCounters()
+
+def _get(env: dict, v: Value, k: int, rank: int):
+    """The value of `v` laid out over a grid of `k` axes followed by `rank`
+    element axes. Axes of extent 1 go between the axes of the grid `v` was
+    defined over and its own element axes."""
+    x = env[v]
+    pad = k + rank - x.ndim
+    if not pad:
+        return x
+    lead = x.ndim - len(shape_of(v.type))
+    return _each(lambda a: a.reshape(a.shape[:lead] + (1,) * pad + a.shape[lead:]), x)
+
+
+def _axis(i: int, n: int, width: int) -> tuple[int, ...]:
+    """The shape of a `width`-axis array that varies along axis `i` only."""
+    return (1,) * i + (n,) + (1,) * (width - i - 1)
+
+
+def _fill(x, k: int, shape: tuple[int, ...]):
+    """Broadcast the element axes of a value held over `k` grid axes to
+    `shape`, as a view."""
+    if x.shape[k:] == shape:
+        return x
+    return _each(lambda a: np.broadcast_to(a, a.shape[:k] + shape), x)
+
+
+def _points(grid: tuple[int, ...], t: Type) -> int:
+    """Scalar elements of a value of type `t` over every point of `grid`."""
+    return math.prod(grid) * math.prod(shape_of(t))
+
+
+def _is_sum(op: Operation) -> bool:
+    """Whether a reduce's combiner is a plain sum of its two arguments."""
+    combiner = op.body()
+    ops = combiner.ops
+    return (
+        len(ops) == 2
+        and ops[0].kind == "ekl.add"
+        and sorted(ops[0].operands, key=id) == sorted(combiner.args, key=id)
+        and ops[1].kind == "ekl.yield"
+        and ops[1].operands[0] is ops[0].result
+    )
+
+
+# A float assoc that only a reduce consumes is generated in slabs of whole
+# rows of its first index, each of at most this many elements over the grid
+# (and at least one row), so the whole summand grid is never held at once.
+_SLAB_ELEMENTS = 1 << 16
+
+
+def _folds(op: Operation) -> bool:
+    """Whether assoc `op` is generated by the reduce that consumes it, one
+    slab at a time: a float assoc whose only use is a reduce in the same
+    block."""
+    uses = op.result.uses
+    return (
+        len(uses) == 1
+        and uses[0][0].kind == "ekl.reduce"
+        and uses[0][0].parent is op.parent
+        and isinstance(scalar_of(op.result.type), FloatType)
+    )
+
+
+def _fold(acc, x, k: int, init):
+    """Add the elements of `x` past its first `k` axes to `acc`, one at a
+    time in element order, so a float sum is bit-identical to a sequential
+    loop. `acc` None starts from `init`."""
+    mat = x.reshape(x.shape[:k] + (-1,))
+    if acc is None:
+        acc = np.full(x.shape[:k], init, dtype=x.dtype)
+    for t in range(mat.shape[-1]):
+        acc = acc + mat[..., t]
+    return acc
+
+
+class _Evaluator:
+    """One run of the grid evaluator: walks a kernel and counts its scalar
+    operations, one count per grid point per scalar op."""
+
+    def __init__(self, counters: OpCounters) -> None:
+        self.counters = counters
         self.outputs: dict[str, object] = {}
-        self._handlers = {
-            "ekl.literal": self._op_literal,
-            "ekl.add": self._op_arith,
-            "ekl.sub": self._op_arith,
-            "ekl.mul": self._op_arith,
-            "ekl.div": self._op_arith,
-            "ekl.neg": self._op_neg,
-            "ekl.cmp": self._op_cmp,
-            "ekl.subscript": self._op_subscript,
-            "ekl.stack": self._op_stack,
-            "ekl.choice": self._op_choice,
-            "ekl.if_stmt": self._op_if_stmt,
-            "ekl.assoc": self._op_assoc,
-            "ekl.reduce": self._op_reduce,
-            "ekl.cast": self._op_cast,
-            "ekl.broadcast": self._op_broadcast,
-            "ekl.output": self._op_output,
-            "ekl.yield": lambda op, env: None,
-        }
-
-    # --- drivers ------------------------------------------------------------
 
     def run_kernel(self, kernel: Operation, inputs: dict[str, object]):
         env: dict[Value, object] = {}
@@ -350,462 +401,263 @@ class Interpreter:
                     f"expected {declared}"
                 )
             value = coerce(value, arg.type)
-            if isinstance(scalar_of(arg.type), RationalType) and declared:
+            if isinstance(scalar_of(arg.type), RationalType):
                 value = _Pair.of(value)
             env[arg] = value
-        self.outputs = {}
-        self._exec_block(block, env)
+        self._exec_block(block, env, ())
         return self.outputs
 
-    def _exec_block(self, block: Block, env: dict[Value, object]):
+    def _exec_block(self, block: Block, env: dict, grid: tuple[int, ...]):
+        """Run `block` over `grid`; returns its yielded value, or None."""
         for op in block.ops:
-            handler = self._handlers.get(op.kind)
-            if handler is None:
-                raise EvalError(f"cannot evaluate op '{op.kind}'")
-            handler(op, env)
-        if block.ops and block.ops[-1].kind == "ekl.yield":
-            return env[block.ops[-1].operands[0]]
+            if op.kind == "ekl.yield":
+                return _get(env, op.operands[0], len(grid), 0)
+            step = _STEPS.get(op.kind)
+            if step is None:
+                raise EvalError(f"{op.location}: cannot evaluate op '{op.kind}'")
+            step(self, op, env, grid)
         return None
 
-    def _result_type(self, op: Operation) -> Type:
-        t = op.result.type
-        if t == EXPR:
-            raise EvalError(
-                f"op '{op.kind}' is untyped; run type checking before evaluation"
-            )
-        return t
-
-    # --- handlers -----------------------------------------------------------
-
-    def _op_literal(self, op: Operation, env) -> None:
+    def _literal(self, op: Operation, env, grid) -> None:
         t = op.attrs["type"].value
         if isinstance(t, PseudoType):
             env[op.result] = t
             return
         attr = op.attrs["value"]
         if isinstance(attr, DenseAttr):
-            env[op.result] = coerce(
-                np.array(attr.values, dtype=object).reshape(shape_of(attr.type)),
-                attr.type,
-            )
-            return
-        value = _attr_value(attr)
-        if isinstance(t, BoolType):
-            value = bool(value)
-        env[op.result] = coerce(value, with_shape(scalar_of(t), shape_of(t)))
-
-    def _materialize_operand(self, value, scalar: Type):
-        """Convert an operand to the compute scalar kind, keeping its shape."""
-        return coerce(value, with_shape(scalar, np.shape(value)))
-
-    def _op_arith(self, op: Operation, env) -> None:
-        rt = self._result_type(op)
-        scalar = scalar_of(rt)
-        vals = [self._materialize_operand(env[v], scalar) for v in op.operands]
-        result = _apply_arith(op, *vals)
-        n = max(_size(rt), 1)
-        if op.kind in ("ekl.mul", "ekl.div"):
-            self.counters.multiplies += n
+            t = attr.type
+            value = np.array(attr.values, dtype=object).reshape(shape_of(t))
         else:
-            self.counters.adds += n
-        env[op.result] = coerce(result, rt)
+            value = _attr_value(attr)
+        x = _convert(np.asarray(coerce(value, t)), scalar_of(t), op)
+        env[op.result] = _each(lambda a: a.reshape((1,) * len(grid) + a.shape), x)
 
-    def _op_neg(self, op: Operation, env) -> None:
-        rt = self._result_type(op)
-        value = self._materialize_operand(env[op.operands[0]], scalar_of(rt))
-        self.counters.adds += max(_size(rt), 1)
-        env[op.result] = coerce(-np.asarray(value) if np.shape(value) else -value, rt)
-
-    def _op_cmp(self, op: Operation, env) -> None:
-        rt = self._result_type(op)
-        ts = [scalar_of(v.type) for v in op.operands]
-        vals = [_fractions(env[v]) for v in op.operands]
-        if any(isinstance(t, FloatType) for t in ts):
-            vals = [self._materialize_operand(v, F64) for v in vals]
-        a, b = vals
-        result = _CMP_FUNCS[op.attrs["pred"].value](np.asarray(a), np.asarray(b))
-        self.counters.comparisons += max(_size(rt), 1)
-        env[op.result] = coerce(result, rt)
-
-    def _op_subscript(self, op: Operation, env) -> None:
-        rt = self._result_type(op)
-        src = np.asarray(_fractions(env[op.operands[0]]))
-        rank = src.ndim
-        slots = []
-        for v in op.operands[1:]:
-            value = env[v]
-            if isinstance(value, PseudoType):
-                slots.append((value.kind, None))
-            else:
-                slots.append(("index", value))
-        fixed = sum(1 for k, _ in slots if k != "...")
-        key: list = []
-        axis = 0
-        for kind, value in slots:
-            if kind == "...":
-                for _ in range(rank - fixed):
-                    key.append(slice(None))
-                    axis += 1
-            elif kind == ":":
-                key.append(slice(None))
-                axis += 1
-            else:
-                i = int(value)
-                if not 0 <= i < src.shape[axis]:
-                    raise BoundsTrap(
-                        f"{op.location}: index {i} out of range for axis of "
-                        f"extent {src.shape[axis]}"
-                    )
-                key.append(i)
-                axis += 1
-        result = src[tuple(key)]
-        self.counters.gather_reads += max(_size(rt), 1)
-        env[op.result] = coerce(result, rt)
-
-    def _op_stack(self, op: Operation, env) -> None:
-        rt = self._result_type(op)
-        scalar = scalar_of(rt)
-        elem_shape = shape_of(rt)[:-1]
-        parts = []
-        for v in op.operands:
-            value = self._materialize_operand(env[v], scalar)
-            parts.append(np.broadcast_to(np.asarray(value), elem_shape))
-        env[op.result] = coerce(np.stack(parts, axis=-1), rt)
-
-    def _op_choice(self, op: Operation, env) -> None:
-        rt = self._result_type(op)
-        cond = env[op.operands[0]]
-        a, b = _fractions(env[op.operands[1]]), _fractions(env[op.operands[2]])
-        if np.shape(cond) == () and np.shape(a) == () and np.shape(b) == ():
-            env[op.result] = coerce(a if bool(cond) else b, rt)
-            return
-        env[op.result] = coerce(np.where(np.asarray(cond), a, b), rt)
-
-    def _op_if_stmt(self, op: Operation, env) -> None:
-        cond = env[op.operands[0]]
-        region = 0 if bool(cond) else 1
-        self._exec_block(op.body(region), env)
-
-    def _op_assoc(self, op: Operation, env) -> None:
-        rt = self._result_type(op)
-        if not isinstance(rt, ArrayType):
-            raise EvalError("assoc result is not an array; module is not typed")
-        fast = self._try_vectorized(op, env)
-        if fast is not None:
-            env[op.result] = fast
-            return
-        args = op.body().args
-        shape = rt.shape
-        out = np.empty(shape, dtype=dtype_for(rt.scalar))
-        for idx in np.ndindex(shape):
-            for arg, i in zip(args, idx):
-                env[arg] = i
-            out[idx] = self._exec_block(op.body(), env)
-        self.counters.intermediate_elements += out.size
+    def _arith(self, op: Operation, env, grid) -> None:
+        rt = op.result.type
+        rs, rank, k = scalar_of(rt), len(shape_of(rt)), len(grid)
+        lhs, rhs = op.operands
+        a = _convert(_get(env, lhs, k, rank), rs, op)
+        b = _convert(_get(env, rhs, k, rank), rs, op)
+        # The left operand is overwritten when an arith op of this block
+        # computed it and nothing else uses it: a product chain over the
+        # full grid then holds one full-size temporary, not two.
+        producer = lhs.defining_op
+        in_place = (
+            producer is not None
+            and producer.kind in _ARITH_FUNCS
+            and producer.parent is op.parent
+            and len(lhs.uses) == 1
+            and isinstance(a, np.ndarray)
+            and a.shape == np.broadcast_shapes(a.shape, np.shape(b))
+        )
+        if op.kind == "ekl.div" and isinstance(rs, FloatType):
+            # IEEE semantics: x / 0 is inf or nan, without a NumPy warning.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = _apply_arith(op, a, b, in_place)
+        else:
+            out = _apply_arith(op, a, b, in_place)
+        if isinstance(rs, IndexType):
+            _check_index(out, rs, op)
+        if op.kind in ("ekl.mul", "ekl.div"):
+            self.counters.multiplies += _points(grid, rt)
+        else:
+            self.counters.adds += _points(grid, rt)
         env[op.result] = out
 
-    # --- vectorized fast path ----------------------------------------------
-    #
-    # Generator bodies over exact element kinds (integers, indices, bools,
-    # rationals) are evaluated whole-grid with numpy instead of one index
-    # tuple at a time. Exact arithmetic makes the reassociation inherent in
-    # bulk reduction value-preserving, so results are identical to the
-    # element-at-a-time loop. Counters are accumulated with the loop's
-    # semantics: one count per grid point per scalar operation.
-
-    def _try_vectorized(self, op: Operation, env) -> np.ndarray | _Pair | None:
-        tmp = OpCounters()
-        try:
-            arr = self._vec_assoc(op, env, {}, (), tmp)
-        except _VecUnsupported:
-            return None
+    def _neg(self, op: Operation, env, grid) -> None:
         rt = op.result.type
-        arr = _vec_convert(arr, rt.scalar)
-        if isinstance(arr, _Pair):
-            arr = arr.reduced()
-        out = _each(arr, lambda a: np.array(np.broadcast_to(a, rt.shape)))
-        for key, n in tmp.as_dict().items():
-            setattr(self.counters, key, getattr(self.counters, key) + n)
-        self.counters.intermediate_elements += _size(rt)
-        return out
+        x = _get(env, op.operands[0], len(grid), len(shape_of(rt)))
+        self.counters.adds += _points(grid, rt)
+        env[op.result] = -_convert(x, scalar_of(rt), op)
 
-    def _vec_lookup(self, v: Value, venv: dict, env: dict):
-        """Resolve a value to a ('g', grid-array) or ('w', whole-array) entry."""
-        entry = venv.get(v)
-        if entry is not None:
-            return entry
-        if v not in env:
-            raise _VecUnsupported
-        value = env[v]
-        if isinstance(value, PseudoType):
-            raise _VecUnsupported
-        if isinstance(scalar_of(v.type), RationalType):
-            # Per-element handlers leave Fractions in the environment.
-            value = _Pair.of(value)
-        else:
-            value = np.asarray(value)
-        return ("w" if value.ndim > 0 else "g", value)
+    def _cmp(self, op: Operation, env, grid) -> None:
+        rt = op.result.type
+        k, rank = len(grid), len(shape_of(rt))
+        a, b = (_get(env, v, k, rank) for v in op.operands)
+        kinds = [scalar_of(v.type) for v in op.operands]
+        if any(isinstance(t, FloatType) for t in kinds):
+            a, b = _convert(a, F64, op), _convert(b, F64, op)
+        elif any(isinstance(t, RationalType) for t in kinds):
+            a, b = _Pair.of(a), _Pair.of(b)
+            a, b = a.num * b.den, b.num * a.den
+        self.counters.comparisons += _points(grid, rt)
+        env[op.result] = np.asarray(_CMP_FUNCS[op.attrs["pred"].value](a, b))
 
-    def _vec_assoc(
-        self,
-        op: Operation,
-        env: dict,
-        genv: dict,
-        grid: tuple[int, ...],
-        counters: OpCounters,
-    ) -> np.ndarray | _Pair:
-        """Evaluate one assoc vectorized; returns an array or pair
-        broadcastable to grid + extents. genv carries grid entries of
-        enclosing generators."""
-        block = op.body()
-        for arg in block.args:
-            if not isinstance(arg.type, IndexType):
-                raise _VecUnsupported
-        shape = tuple(arg.type.bound for arg in block.args)
-        full = grid + shape
-        points = math.prod(full)
-        pad = (1,) * len(shape)
-        venv: dict[Value, tuple] = {}
-        for v, entry in genv.items():
-            if entry[0] == "g":
-                venv[v] = ("g", _each(entry[1], lambda a: a.reshape(a.shape + pad)))
-            elif entry[0] == "w":
-                venv[v] = entry
-        for i, arg in enumerate(block.args):
-            lead = len(grid) + i
-            trail = len(shape) - i - 1
-            venv[arg] = (
-                "g",
-                np.arange(shape[i]).reshape((1,) * lead + (shape[i],) + (1,) * trail),
-            )
-
-        def grid_of(v: Value) -> np.ndarray:
-            entry = self._vec_lookup(v, venv, env)
-            if entry[0] != "g":
-                raise _VecUnsupported
-            return entry[1]
-
-        result_value = None
-        # Values whose grid arrays arith ops of this body computed. An arith
-        # op overwrites its left operand when that is one of them and has no
-        # other use: a product chain over the full grid then holds one
-        # full-size temporary, not two.
-        computed: set[Value] = set()
-        for body_op in block.ops:
-            kind = body_op.kind
-            if kind == "ekl.yield":
-                entry = self._vec_lookup(body_op.operands[0], venv, env)
-                if entry[0] != "g":
-                    raise _VecUnsupported
-                result_value = entry[1]
+    def _subscript(self, op: Operation, env, grid) -> None:
+        """Index the source's own grid axes by the grid, and each element
+        axis by its slot: an index value, or `:` and `...`, which keep
+        axes after the grid axes of the result, in order."""
+        rt = op.result.type
+        k, kept = len(grid), shape_of(rt)
+        width = k + len(kept)
+        source, *slots = op.operands
+        src = env[source]
+        rank = len(shape_of(source.type))
+        lead = src.ndim - rank
+        key = [
+            np.arange(n).reshape(_axis(i, n, width))
+            for i, n in enumerate(src.shape[:lead])
+        ]
+        axis, out_axis = lead, k
+        for v in slots:
+            s = env[v]
+            if isinstance(s, PseudoType):
+                # `...` keeps the axes that no other slot names.
+                for _ in range(rank - len(slots) + 1 if s.kind == "..." else 1):
+                    n = src.shape[axis]
+                    key.append(np.arange(n).reshape(_axis(out_axis, n, width)))
+                    axis += 1
+                    out_axis += 1
                 continue
-            if not body_op.results:
-                raise _VecUnsupported
-            rt = body_op.result.type
-            rs = scalar_of(rt)
-            if not isinstance(rs, _VEC_SCALARS):
-                raise _VecUnsupported
-            if kind == "ekl.literal":
-                t = body_op.attrs["type"].value
-                if isinstance(t, PseudoType):
-                    raise _VecUnsupported
-                attr = body_op.attrs["value"]
-                if isinstance(attr, DenseAttr):
-                    dense = coerce(
-                        np.array(attr.values, dtype=object).reshape(
-                            shape_of(attr.type)
-                        ),
-                        attr.type,
-                    )
-                    venv[body_op.result] = (
-                        "w",
-                        _vec_convert(np.asarray(dense), scalar_of(attr.type)),
-                    )
-                    continue
-                value = _attr_value(attr)
-                if isinstance(t, BoolType):
-                    value = bool(value)
-                scalar = scalar_of(t)
-                venv[body_op.result] = (
-                    "g",
-                    _vec_convert(np.asarray(coerce(value, scalar)), scalar),
+            idx = _get(env, v, k, len(kept))
+            if isinstance(idx, _Pair):
+                idx = idx.to(IntType(64))
+            if ((idx < 0) | (idx >= src.shape[axis])).any():
+                raise BoundsTrap(
+                    f"{op.location}: index out of range for axis of extent "
+                    f"{src.shape[axis]}"
                 )
-            elif kind in _ARITH_FUNCS:
-                if isinstance(rt, ArrayType):
-                    raise _VecUnsupported
-                lhs = body_op.operands[0]
-                a = _vec_convert(grid_of(lhs), rs)
-                b = _vec_convert(grid_of(body_op.operands[1]), rs)
-                in_place = (
-                    lhs in computed
-                    and len(lhs.uses) == 1
-                    and isinstance(a, np.ndarray)
-                    and a.shape == np.broadcast_shapes(a.shape, np.shape(b))
-                )
-                out = _apply_arith(body_op, a, b, in_place)
-                computed.add(body_op.result)
-                if kind in ("ekl.mul", "ekl.div"):
-                    counters.multiplies += points
-                else:
-                    counters.adds += points
-                if isinstance(rs, IndexType) and isinstance(out, np.ndarray):
-                    if ((out < 0) | (out >= rs.bound)).any():
-                        raise BoundsTrap(f"value out of range for {rs}")
-                venv[body_op.result] = ("g", _each(out, np.asarray))
-            elif kind == "ekl.neg":
-                out = -_vec_convert(grid_of(body_op.operands[0]), rs)
-                counters.adds += points
-                venv[body_op.result] = ("g", _each(out, np.asarray))
-            elif kind == "ekl.cmp":
-                ts = [scalar_of(v.type) for v in body_op.operands]
-                a = grid_of(body_op.operands[0])
-                b = grid_of(body_op.operands[1])
-                if any(isinstance(t, FloatType) for t in ts):
-                    a = _vec_convert(a, F64)
-                    b = _vec_convert(b, F64)
-                elif any(isinstance(t, RationalType) for t in ts):
-                    a, b = _Pair.of(a), _Pair.of(b)
-                    a, b = a.num * b.den, b.num * a.den
-                out = _CMP_FUNCS[body_op.attrs["pred"].value](a, b)
-                counters.comparisons += points
-                venv[body_op.result] = ("g", np.asarray(out))
-            elif kind == "ekl.subscript":
-                if isinstance(rt, ArrayType):
-                    raise _VecUnsupported
-                src_entry = self._vec_lookup(body_op.operands[0], venv, env)
-                if src_entry[0] != "w":
-                    raise _VecUnsupported
-                src = src_entry[1]
-                key = []
-                for axis, v in enumerate(body_op.operands[1:]):
-                    idx = grid_of(v)
-                    if idx.dtype == object or idx.dtype == bool:
-                        raise _VecUnsupported
-                    if ((idx < 0) | (idx >= src.shape[axis])).any():
-                        raise BoundsTrap(
-                            f"{body_op.location}: index out of range for axis "
-                            f"of extent {src.shape[axis]}"
-                        )
-                    key.append(idx)
-                if len(key) != src.ndim:
-                    raise _VecUnsupported
-                out = _each(src, lambda a: np.asarray(a[tuple(key)]))
-                counters.gather_reads += points
-                venv[body_op.result] = ("g", _vec_convert(out, rs))
-            elif kind == "ekl.choice":
-                cond = grid_of(body_op.operands[0])
-                a = _vec_convert(grid_of(body_op.operands[1]), rs)
-                b = _vec_convert(grid_of(body_op.operands[2]), rs)
-                if isinstance(a, _Pair):
-                    out = _Pair(
-                        np.where(cond, a.num, b.num), np.where(cond, a.den, b.den)
-                    )
-                else:
-                    out = np.asarray(np.where(cond, a, b))
-                venv[body_op.result] = ("g", out)
-            elif kind == "ekl.cast":
-                venv[body_op.result] = (
-                    "g",
-                    _vec_convert(grid_of(body_op.operands[0]), rs),
-                )
-            elif kind == "ekl.assoc":
-                if not isinstance(rt, ArrayType):
-                    raise _VecUnsupported
-                inner = self._vec_assoc(body_op, env, venv, full, counters)
-                counters.intermediate_elements += points * math.prod(rt.shape)
-                venv[body_op.result] = ("ga", inner, len(rt.shape))
-            elif kind == "ekl.reduce":
-                entry = venv.get(body_op.operands[0])
-                if entry is None or entry[0] != "ga":
-                    raise _VecUnsupported
-                _, arr, rank = entry
-                combiner = body_op.body()
-                ops = combiner.ops
-                if (
-                    len(ops) != 2
-                    or ops[0].kind != "ekl.add"
-                    or sorted(ops[0].operands, key=id) != sorted(combiner.args, key=id)
-                    or ops[1].kind != "ekl.yield"
-                    or ops[1].operands[0] is not ops[0].result
-                ):
-                    raise _VecUnsupported
-                src_type = body_op.operands[0].type
-                if not isinstance(src_type, ArrayType):
-                    raise _VecUnsupported
-                inner_shape = src_type.shape
-                inner_full = full + inner_shape
-                n = math.prod(inner_shape)
-                init = coerce(_attr_value(body_op.attrs["init"]), rs)
-                if n == 0:
-                    out = np.broadcast_to(np.asarray(init), full)
-                else:
-                    mat = _each(
-                        _vec_convert(arr, rs),
-                        lambda a: np.broadcast_to(a, inner_full).reshape(full + (-1,)),
-                    )
-                    if isinstance(rs, FloatType):
-                        # Floats fold sequentially along the reduced axis so
-                        # the result is bit-identical to the element-at-a-time
-                        # loop.
-                        acc = np.full(full, init, dtype=mat.dtype)
-                        for t in range(n):
-                            acc = acc + mat[..., t]
-                        out = acc
-                    elif isinstance(mat, _Pair):
-                        out = mat.sum()
-                        if init != 0:
-                            out = _Pair.of(init) + out
-                        out = out.reduced()
-                    else:
-                        out = np.add.reduce(mat, axis=-1)
-                        if init != 0:
-                            out = init + out
-                counters.adds += points * n
-                venv[body_op.result] = ("g", _vec_convert(_each(out, np.asarray), rs))
-            else:
-                raise _VecUnsupported
-        if result_value is None:
-            raise _VecUnsupported
-        return result_value
+            key.append(idx)
+            axis += 1
+        self.counters.gather_reads += _points(grid, rt)
+        env[op.result] = _each(lambda a: a[tuple(key)], src)
 
-    def _op_reduce(self, op: Operation, env) -> None:
-        rt = self._result_type(op)
-        src = np.asarray(_fractions(env[op.operands[0]]))
-        acc_arg, elem_arg = op.body().args
-        acc = coerce(_attr_value(op.attrs["init"]), rt)
-        for x in src.flat:
-            env[acc_arg] = acc
-            env[elem_arg] = x
-            acc = coerce(self._exec_block(op.body(), env), rt)
-        env[op.result] = acc
-
-    def _op_cast(self, op: Operation, env) -> None:
-        env[op.result] = coerce(env[op.operands[0]], op.attrs["type"].value)
-
-    def _op_broadcast(self, op: Operation, env) -> None:
-        rt = self._result_type(op)
-        value = np.broadcast_to(
-            np.asarray(_fractions(env[op.operands[0]])), shape_of(rt)
+    def _stack(self, op: Operation, env, grid) -> None:
+        rt = op.result.type
+        k, rank, rs = len(grid), len(shape_of(rt)) - 1, scalar_of(rt)
+        parts = [_convert(_get(env, v, k, rank), rs, op) for v in op.operands]
+        env[op.result] = _each(
+            lambda *arrays: np.stack(np.broadcast_arrays(*arrays), axis=-1), *parts
         )
-        env[op.result] = coerce(value.copy(), rt)
 
-    def _op_output(self, op: Operation, env) -> None:
+    def _choice(self, op: Operation, env, grid) -> None:
+        rt = op.result.type
+        k, rank, rs = len(grid), len(shape_of(rt)), scalar_of(rt)
+        cond = _get(env, op.operands[0], k, rank)
+        a, b = (_convert(_get(env, v, k, rank), rs, op) for v in op.operands[1:])
+        env[op.result] = _each(lambda a, b: np.where(cond, a, b), a, b)
+
+    def _cast(self, op: Operation, env, grid) -> None:
+        target = op.attrs["type"].value
+        scalar, shape, k = scalar_of(target), shape_of(target), len(grid)
+        x = _convert(_get(env, op.operands[0], k, len(shape)), scalar, op)
+        if isinstance(scalar, IndexType):
+            _check_index(x, scalar, op)
+        env[op.result] = _fill(x, k, shape)
+
+    def _broadcast(self, op: Operation, env, grid) -> None:
+        shape, k = tuple(op.attrs["shape"].value), len(grid)
+        env[op.result] = _fill(_get(env, op.operands[0], k, len(shape)), k, shape)
+
+    def _generate(self, op: Operation, env, grid, rows: range | None = None):
+        """The value of an assoc over `grid`: its body runs over `grid`
+        followed by the assoc's extents, or only by `rows` of its first
+        extent, in an environment of its own, dropped when it returns."""
+        rt = op.result.type
+        if not isinstance(rt, ArrayType):
+            raise EvalError(f"{op.location}: assoc is not typed as an array")
+        block = op.body()
+        k = len(grid)
+        if rows is None:
+            rows = range(rt.shape[0])
+        extents = (len(rows),) + rt.shape[1:]
+        inner = grid + extents
+        env = dict(env)
+        for i, (arg, n) in enumerate(zip(block.args, extents)):
+            start = rows.start if i == 0 else 0
+            env[arg] = np.arange(start, start + n).reshape(_axis(k + i, n, len(inner)))
+        value = _convert(self._exec_block(block, env, inner), rt.scalar, op)
+        if isinstance(value, _Pair) and not grid:
+            value = value.reduced()
+        return _fill(value, k, extents)
+
+    def _assoc(self, op: Operation, env, grid) -> None:
+        if _folds(op):
+            return
+        env[op.result] = self._generate(op, env, grid)
+        self.counters.intermediate_elements += _points(grid, op.result.type)
+
+    def _reduce(self, op: Operation, env, grid) -> None:
+        """A plain sum over every element axis of the operand. Floats fold
+        in element order; a float assoc consumed only here is generated
+        and folded one slab at a time."""
+        source = op.operands[0]
+        if not isinstance(source.type, ArrayType) or not _is_sum(op):
+            raise EvalError(f"{op.location}: only a plain sum can be reduced")
+        rs, shape, k = scalar_of(op.result.type), source.type.shape, len(grid)
+        init = coerce(_attr_value(op.attrs["init"]), rs)
+        producer = source.defining_op
+        if not math.prod(shape):
+            out = _convert(np.full((1,) * k, init), rs, op)
+        elif producer is not None and producer.kind == "ekl.assoc" and _folds(producer):
+            out = None
+            step = max(1, _SLAB_ELEMENTS // max(math.prod(grid + shape[1:]), 1))
+            for start in range(0, shape[0], step):
+                rows = range(start, min(start + step, shape[0]))
+                out = _fold(out, self._generate(producer, env, grid, rows), k, init)
+            self.counters.intermediate_elements += _points(grid, source.type)
+        else:
+            x = _convert(_get(env, source, k, len(shape)), rs, op)
+            if isinstance(rs, FloatType):
+                out = _fold(None, x, k, init)
+            else:
+                mat = _each(lambda a: a.reshape(a.shape[:k] + (-1,)), x)
+                out = mat.sum() if isinstance(mat, _Pair) else mat.sum(axis=-1)
+                if init != 0:
+                    out = _convert(np.asarray(init), rs, op) + out
+                out = _convert(out, rs, op)
+                if isinstance(out, _Pair):
+                    out = out.reduced()
+        self.counters.adds += _points(grid, source.type)
+        env[op.result] = out
+
+    def _if_stmt(self, op: Operation, env, grid) -> None:
+        if grid:
+            raise EvalError(
+                f"{op.location}: an if statement inside a generator cannot be evaluated"
+            )
+        region = 0 if bool(env[op.operands[0]]) else 1
+        self._exec_block(op.body(region), env, grid)
+
+    def _output(self, op: Operation, env, grid) -> None:
         declared = op.attrs["type"].value
-        self.outputs[op.attrs["name"].value] = coerce(env[op.operands[0]], declared)
+        value = _convert(env[op.operands[0]], scalar_of(declared), op)
+        value = coerce(value, declared)
+        if isinstance(value, np.ndarray) and not value.flags.writeable:
+            value = value.copy()
+        self.outputs[op.attrs["name"].value] = value
+
+
+_STEPS = {
+    "ekl.literal": _Evaluator._literal,
+    **dict.fromkeys(_ARITH_FUNCS, _Evaluator._arith),
+    "ekl.neg": _Evaluator._neg,
+    "ekl.cmp": _Evaluator._cmp,
+    "ekl.subscript": _Evaluator._subscript,
+    "ekl.stack": _Evaluator._stack,
+    "ekl.choice": _Evaluator._choice,
+    "ekl.cast": _Evaluator._cast,
+    "ekl.broadcast": _Evaluator._broadcast,
+    "ekl.assoc": _Evaluator._assoc,
+    "ekl.reduce": _Evaluator._reduce,
+    "ekl.if_stmt": _Evaluator._if_stmt,
+    "ekl.output": _Evaluator._output,
+}
 
 
 def evaluate_block(block: Block, env: dict[Value, object]):
-    """Evaluate an isolated expression block; returns the yielded value."""
-    return Interpreter()._exec_block(block, dict(env))
+    """Evaluate an isolated expression block over the empty grid; returns
+    the yielded value, a rational as a Fraction."""
+    return _fractions(_Evaluator(OpCounters())._exec_block(block, dict(env), ()))
 
 
 def eval_kernel(
     kernel: Operation, inputs: dict[str, object]
 ) -> tuple[dict[str, object], OpCounters]:
     """Instrumented evaluation of one typed kernel."""
-    interp = Interpreter()
-    outputs = interp.run_kernel(kernel, inputs)
-    return outputs, interp.counters
+    evaluator = _Evaluator(OpCounters())
+    outputs = evaluator.run_kernel(kernel, inputs)
+    return outputs, evaluator.counters
 
 
 def eval_module(
@@ -815,8 +667,7 @@ def eval_module(
     counters = OpCounters()
     outputs: dict[str, object] = {}
     for kernel in kernels_of(module):
-        interp = Interpreter(counters)
-        outputs.update(interp.run_kernel(kernel, inputs))
+        outputs.update(_Evaluator(counters).run_kernel(kernel, inputs))
     return outputs, counters
 
 
@@ -900,7 +751,10 @@ def eval_ast_oracle(
                     env[op.result] = value
         elif kind in _ARITH_FUNCS:
             a, b = env[op.operands[0]], env[op.operands[1]]
-            env[op.result] = _ARITH_FUNCS[kind](*_align(a, b))
+            try:
+                env[op.result] = _ARITH_FUNCS[kind](*_align(a, b))
+            except ZeroDivisionError:
+                raise EvalError(f"{op.location}: division by zero") from None
         elif kind == "ekl.neg":
             env[op.result] = -env[op.operands[0]]
         elif kind == "ekl.cmp":
@@ -1070,14 +924,9 @@ def random_inputs(kernel: Operation, rng: np.random.Generator) -> dict[str, obje
             value = rng.integers(0, 2, size=shape).astype(bool)
             inputs[name] = value if shape else bool(value)
         elif isinstance(scalar, RationalType):
-            num = rng.integers(-100, 101, size=shape)
-            den = rng.integers(1, 101, size=shape)
-            flat = [
-                Fraction(int(n), int(d))
-                for n, d in zip(np.ravel(num), np.ravel(den))
-            ]
-            arr = np.array(flat, dtype=object).reshape(shape)
-            inputs[name] = arr if shape else arr[()]
+            num = rng.integers(-100, 101, size=shape).astype(object)
+            den = rng.integers(1, 101, size=shape).astype(object)
+            inputs[name] = _FRACTION(num, den)
         else:
             raise EvalError(f"cannot generate inputs of type {arg.type}")
     return inputs

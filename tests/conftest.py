@@ -3,11 +3,18 @@ from __future__ import annotations
 import os
 import sys
 
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 # Every run draws the same examples, and a slow phase of the machine cannot
-# fail a test on Hypothesis' per-example deadline.
-settings.register_profile("eklc", derandomize=True, deadline=None)
+# fail a test on Hypothesis' per-example deadline. The explain phase, which
+# only annotates a failing example, is skipped: it made a failure take
+# minutes to report.
+settings.register_profile(
+    "eklc",
+    derandomize=True,
+    deadline=None,
+    phases=[p for p in Phase if p is not Phase.explain],
+)
 settings.load_profile("eklc")
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))

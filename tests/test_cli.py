@@ -205,3 +205,22 @@ def test_stats_reports_a_runtime_trap_without_a_traceback(tmp_path):
     assert done.returncode == 1
     assert "division by zero" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_a_rational_cast_out_of_range_is_reported(tmp_path):
+    src = tmp_path / "cast.ekl"
+    src.write_text(
+        "kernel k(in a: rational[40], out y: si32[40]) {\n"
+        "  let y[i] = a[i] * 1000000000;\n"
+        "}\n"
+    )
+    # Seed 1 draws a value whose product does not fit si32.
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "eklc.cli", "run", str(src), "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: {src}:2:")
+    assert done.stderr.endswith(": value out of range for si32\n")
+    assert done.stderr.count("\n") == 1

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import functools
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import eklc.interp as interp_mod
+import eklc.interp as interp
 from conftest import corpus_source
 from eklc.interp import (
     BoundsTrap,
     EvalError,
-    Interpreter,
     eval_ast_oracle,
     eval_kernel,
     eval_module,
@@ -22,7 +23,7 @@ from eklc.interp import (
     random_inputs,
 )
 from eklc.ir_text import parse_ir
-from eklc.pipeline import compile_source
+from eklc.pipeline import compile_all_stages, compile_source
 
 
 def _module(src, stage="generators", **kw):
@@ -58,7 +59,7 @@ def test_out_of_range_index_input_traps():
         eval_module(module, {"j": np.array([-1, 0]), "T": np.arange(4.0)})
 
 
-def test_vectorized_and_scalar_paths_agree(monkeypatch):
+def test_grid_evaluation_matches_the_oracle_and_the_element_count():
     src = (
         "kernel k(in A: f64[4,5], in j: index<3>[4], in s: rational, "
         "out y: f64[4]) "
@@ -66,13 +67,19 @@ def test_vectorized_and_scalar_paths_agree(monkeypatch):
     )
     module = _module(src, stage="optimized")
     inputs = random_inputs(kernels_of(module)[0], np.random.default_rng(42))
-    out_vec, c_vec = eval_module(module, inputs)
-    monkeypatch.setattr(
-        Interpreter, "_try_vectorized", lambda self, op, env: None
-    )
-    out_scalar, c_scalar = eval_module(module, inputs)
-    np.testing.assert_array_equal(out_vec["y"], out_scalar["y"])
-    assert c_vec.as_dict() == c_scalar.as_dict()
+    out, counters = eval_module(module, inputs)
+    want = eval_ast_oracle(kernels_of(_module(src, stage="typed"))[0], inputs)
+    np.testing.assert_array_equal(out["y"], want["y"])
+    # Counted one element at a time: 4 x 5 products, 4 x 5 sums for each
+    # of the two adds and the reduction, 2 x 20 + 4 reads of A and j, and
+    # the 4 x 5 summand grid plus the 4 results.
+    assert counters.as_dict() == {
+        "multiplies": 20,
+        "adds": 60,
+        "comparisons": 0,
+        "gather_reads": 44,
+        "intermediate_elements": 24,
+    }
 
 
 def test_instrumented_evaluator_matches_the_oracle():
@@ -177,6 +184,164 @@ ekl.program (
     np.testing.assert_array_equal(outputs["y"], [6.0, 24.0, 60.0])
 
 
+# Layouts the grid evaluator must get right: sources that vary with the
+# grid, `:` and `...` slots, a rational literal as an index slot, stacks
+# inside a generator, whole-array ops over the empty grid, and an if
+# statement.
+_LAYOUT_KERNELS = {
+    "slice_of_a_grid_value": "kernel k(in A: f64[3,4], out y: f64[3,4]) "
+    "{ let y[i, j] = A[i, :][j]; }",
+    "stack_f64": "kernel k(in a: f64[5], in b: f64[5], in s: index<2>[5], "
+    "out y: f64[5]) { let y[i] = (a[i], b[i])[s[i]]; }",
+    "stack_rational": "kernel k(in a: rational[5], in b: rational[5], "
+    "in s: index<2>[5], out y: rational[5]) { let y[i] = (a[i], b[i])[s[i]]; }",
+    "whole_array_slice": "kernel k(in A: rational[2,3,4], out y: rational[2,3,4]) "
+    "{ let y = A[:, ...]; }",
+    "ellipsis_then_index": "kernel k(in A: f64[3,4,5], out y: f64[3,5]) "
+    "{ let y[i, l] =+ (j) A[i, ...][j, l]; }",
+    "whole_array_arith": "kernel k(in a: f64[4], in b: f64[4], out y: f64[4]) "
+    "{ let y = a + b * 2; }",
+    "rational_literal_slot": "kernel k(in A: f64[3,4], out y: f64[3]) "
+    "{ let y[i] = A[i, 1]; }",
+    "if_statement": "kernel k(in c: si32, in A: rational[3,4], out q: rational) "
+    "{ if (c > 0) { out q = A[_0, _1]; } else { out q = A[_1, _0] + 1; } }",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUT_KERNELS))
+def test_grid_layouts_match_the_oracle_at_every_stage(name):
+    stages, diags = compile_all_stages(_LAYOUT_KERNELS[name], "t.ekl")
+    assert stages, [str(d) for d in diags]
+    kernel = kernels_of(stages["typed"])[0]
+    for seed in range(4):
+        inputs = random_inputs(kernel, np.random.default_rng(seed))
+        want = eval_ast_oracle(kernel, inputs)
+        for stage, module in stages.items():
+            got, _ = eval_module(module, inputs)
+            for out in want:
+                np.testing.assert_array_equal(
+                    got[out], want[out], err_msg=f"{stage}, seed {seed}"
+                )
+
+
+def _sumfact(n, scalar):
+    return (
+        f"kernel sumfact(in S: {scalar}[{n}, {n}], in u: {scalar}[{n}, {n}, {n}], "
+        f"out t: {scalar}[{n}, {n}, {n}]) "
+        "{ let t[i, j, k] =+ (l, m, n) S[l, i] * S[m, j] * S[n, k] * u[l, m, n]; }"
+    )
+
+
+def test_a_float_reduction_folds_one_slab_at_a_time(monkeypatch):
+    kernel = kernels_of(_module(_sumfact(12, "f64"), "optimized", lift=False))[0]
+    inputs = random_inputs(kernel, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        _, counters = eval_kernel(kernel, inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The whole 12**6 summand grid alone would take 23.9 MB.
+    assert peak < 8_000_000
+    assert counters.multiplies == 3 * 12**6
+
+    small = _sumfact(4, "f64")
+    kernel = kernels_of(_module(small, "optimized", lift=False))[0]
+    inputs = random_inputs(kernel, np.random.default_rng(1))
+    want = eval_ast_oracle(kernels_of(_module(small, "typed"))[0], inputs)
+    # The n=4 grid fits one slab; a one-element budget folds it row by row.
+    for budget in (interp._SLAB_ELEMENTS, 1):
+        monkeypatch.setattr(interp, "_SLAB_ELEMENTS", budget)
+        got, _ = eval_kernel(kernel, inputs)
+        assert got["t"].tolist() == want["t"].tolist(), budget
+
+
+def test_float_division_by_zero_is_ieee():
+    module = _module(
+        "kernel k(in a: f64[3], in b: f64[3], out y: f64[3]) "
+        "{ let y[i] = a[i] / b[i]; }",
+        "optimized",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, _ = eval_module(
+            module, {"a": np.array([1.0, 0.0, -1.0]), "b": np.zeros(3)}
+        )
+    np.testing.assert_array_equal(out["y"], [np.inf, np.nan, -np.inf])
+
+
+def test_oracle_reports_division_by_zero_with_a_location():
+    kernel = kernels_of(
+        _module(
+            "kernel k(in a: rational[2], in b: rational[2], out y: rational[2]) "
+            "{ let y[i] = a[i] / b[i]; }",
+            "typed",
+        )
+    )[0]
+    inputs = {
+        "a": np.array([Fraction(1), Fraction(2)]),
+        "b": np.array([Fraction(1), Fraction(0)]),
+    }
+    with pytest.raises(EvalError, match=r"^t\.ekl:1:\d+: division by zero$"):
+        eval_ast_oracle(kernel, inputs)
+
+
+_NOT_A_SUM = """
+ekl.program (
+{
+  ekl.kernel (
+  {
+  ^(%0: array<f64[3]>):
+    %1 = ekl.reduce(%0) (
+    {
+    ^(%2: f64, %3: f64):
+      %4 = ekl.mul(%2, %3) : f64
+      ekl.yield(%4)
+    }
+    ) {init = 1/1} : f64
+    ekl.output(%1) {name = "y", type = f64}
+  }
+  ) {in0 = "a", name = "k", out0 = "y", out0_type = f64}
+}
+)
+"""
+
+_IF_IN_A_GENERATOR = """
+ekl.program (
+{
+  ekl.kernel (
+  {
+  ^(%0: array<bool[3]>):
+    %1 = ekl.assoc (
+    {
+    ^(%2: index<3>):
+      %3 = ekl.subscript(%0, %2) : bool
+      ekl.if_stmt(%3) ({}, {})
+      ekl.yield(%3)
+    }
+    ) : array<bool[3]>
+    ekl.output(%1) {name = "y", type = array<bool[3]>}
+  }
+  ) {in0 = "a", name = "k", out0 = "y", out0_type = array<bool[3]>}
+}
+)
+"""
+
+
+@pytest.mark.parametrize(
+    "text, inputs, message",
+    [
+        (_NOT_A_SUM, {"a": np.ones(3)}, "only a plain sum"),
+        (_IF_IN_A_GENERATOR, {"a": np.ones(3, dtype=bool)}, "inside a generator"),
+    ],
+    ids=["reduce_not_a_sum", "if_in_a_generator"],
+)
+def test_ops_outside_the_grid_model_are_errors(text, inputs, message):
+    kernel = kernels_of(parse_ir(text))[0]
+    with pytest.raises(EvalError, match=message):
+        eval_kernel(kernel, inputs)
+
+
 # Rationals with numerators and denominators up to 2**70; integers() draws
 # zero numerators too. _SMALL keeps products below 2**31 for si32 casts.
 # The oracle leaves the cast to a declared machine output to its caller:
@@ -242,7 +407,7 @@ def test_exact_evaluation_matches_the_oracle_bit_for_bit(name, data):
         ).reshape(arg.type.shape)
     try:
         want = eval_ast_oracle(kernel, inputs)
-    except ZeroDivisionError:
+    except EvalError:
         with pytest.raises(EvalError, match="division by zero"):
             eval_module(optimized, inputs)
         return
