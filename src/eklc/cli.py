@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import print_diagnostics
-from .interp import BoundsTrap, EvalError, eval_kernel, kernels_of, random_inputs
-from .ir import Operation, count_ops
+from .interp import BoundsTrap, EvalError, eval_kernel, random_inputs
+from .ir import count_ops, kernel_inputs, kernel_outputs, kernels_of
 from .ir_text import print_ir
 from .pipeline import STAGES, compile_all_stages, compile_source
 from .tensor_io import TensorIOError, TensorValue, check_against, read_tensor, write_tensor
@@ -34,24 +34,6 @@ EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def kernel_inputs(kernel: Operation) -> list[tuple[str, object]]:
-    block = kernel.body()
-    pairs = []
-    for i, arg in enumerate(block.args):
-        name_attr = kernel.attrs.get(f"in{i}")
-        pairs.append((name_attr.value if name_attr else f"in{i}", arg.type))
-    return pairs
-
-
-def kernel_outputs(kernel: Operation) -> list[tuple[str, object]]:
-    pairs = []
-    i = 0
-    while f"out{i}" in kernel.attrs:
-        pairs.append((kernel.attrs[f"out{i}"].value, kernel.attrs[f"out{i}_type"].value))
-        i += 1
-    return pairs
 
 
 def _read_source(path: str) -> str:

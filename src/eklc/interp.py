@@ -21,13 +21,20 @@ element-at-a-time model: one count per grid point per scalar op.
 
 The oracle computes on `Fraction`s. The evaluator holds a rational value
 as a `_Pair`: a NumPy object array of Python-int numerators and one of
-denominators, always positive. Kernel inputs become pairs once, when the
-kernel starts. `add`, `sub`, `mul`, `div` and `neg` work on the two
-arrays and run no gcd, comparisons cross-multiply, and a plain-sum
-reduction puts its terms over the lcm of their denominators. A pair is
-brought to lowest terms with one `np.gcd` at every reduction result and
-at every assoc result of the kernel body, so its magnitudes stay those
-of reduced `Fraction`s. Reduced `Fraction`s are built at `ekl.output`.
+denominators, always positive. `add`, `sub`, `mul`, `div` and `neg` work
+on the two arrays and run no gcd, comparisons cross-multiply, and a
+plain-sum reduction puts its terms over the lcm of their denominators. A
+pair is brought to lowest terms with one `np.gcd` at every reduction
+result and at every assoc result of the kernel body, so its magnitudes
+stay those of reduced `Fraction`s.
+
+A value crosses the kernel boundary with one conversion each way, by
+`_convert`, which also converts literals and reduction seeds. When the
+kernel starts, each input becomes a pair or an array of its declared
+machine dtype, and an index-typed input out of its range is a
+`BoundsTrap` naming the input. At `ekl.output` the value becomes an
+array of the declared dtype (a NumPy scalar at rank 0), or reduced
+`Fraction`s for a rational.
 """
 
 from __future__ import annotations
@@ -46,8 +53,10 @@ from .ir import (
     Operation,
     RationalAttr,
     Value,
+    kernel_inputs,
     kernels_of,
 )
+from .ops import is_plain_sum
 from .types import (
     F64,
     ArrayType,
@@ -101,46 +110,6 @@ def dtype_for(scalar: Type):
     if isinstance(scalar, RationalType):
         return object
     raise EvalError(f"no runtime representation for type {scalar}")
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (bool, int)):
-        return Fraction(int(x))
-    return Fraction(float(x))
-
-
-def coerce(value, t: Type):
-    """Convert a runtime value to the representation of type `t`.
-
-    Broadcasts to the target shape and traps on index-bound violations.
-    """
-    scalar = scalar_of(t)
-    shape = shape_of(t)
-    if isinstance(scalar, RationalType):
-        value = _fractions(value)
-        if not shape and not isinstance(value, np.ndarray):
-            return _to_fraction(value)
-        arr = np.asarray(value, dtype=object)
-        flat = [_to_fraction(x) for x in arr.ravel()]
-        out = np.array(flat, dtype=object).reshape(arr.shape)
-        return np.broadcast_to(out, shape).copy() if out.shape != shape else out
-    # A NumPy cast from objects applies int, float or bool to each element.
-    arr = value.to(scalar) if isinstance(value, _Pair) else np.asarray(value)
-    dt = dtype_for(scalar)
-    if arr.dtype != dt:
-        arr = arr.astype(dt)
-    if arr.shape != shape:
-        arr = np.broadcast_to(arr, shape).copy()
-    if isinstance(scalar, IndexType):
-        if ((arr < 0) | (arr >= scalar.bound)).any():
-            raise BoundsTrap(
-                f"value out of range for {scalar}: {arr if shape else arr[()]}"
-            )
-    if not shape:
-        return arr[()]
-    return arr
 
 
 _ARITH_FUNCS = {
@@ -298,9 +267,11 @@ def _convert(x, scalar: Type, op: Operation):
     return x if x.dtype == dt else x.astype(dt)
 
 
-def _check_index(x, scalar: IndexType, op: Operation) -> None:
+def _check_index(x, scalar: IndexType, where) -> None:
+    """Trap unless every element of `x` lies in the range of `scalar`;
+    `where` (a location, or an input named in words) heads the message."""
     if ((x < 0) | (x >= scalar.bound)).any():
-        raise BoundsTrap(f"{op.location}: value out of range for {scalar}")
+        raise BoundsTrap(f"{where}: value out of range for {scalar}")
 
 
 def _get(env: dict, v: Value, k: int, rank: int):
@@ -331,19 +302,6 @@ def _fill(x, k: int, shape: tuple[int, ...]):
 def _points(grid: tuple[int, ...], t: Type) -> int:
     """Scalar elements of a value of type `t` over every point of `grid`."""
     return math.prod(grid) * math.prod(shape_of(t))
-
-
-def _is_sum(op: Operation) -> bool:
-    """Whether a reduce's combiner is a plain sum of its two arguments."""
-    combiner = op.body()
-    ops = combiner.ops
-    return (
-        len(ops) == 2
-        and ops[0].kind == "ekl.add"
-        and sorted(ops[0].operands, key=id) == sorted(combiner.args, key=id)
-        and ops[1].kind == "ekl.yield"
-        and ops[1].operands[0] is ops[0].result
-    )
 
 
 # A float assoc that only a reduce consumes is generated in slabs of whole
@@ -388,21 +346,19 @@ class _Evaluator:
     def run_kernel(self, kernel: Operation, inputs: dict[str, object]):
         env: dict[Value, object] = {}
         block = kernel.body()
-        for i, arg in enumerate(block.args):
-            name_attr = kernel.attrs.get(f"in{i}")
-            name = name_attr.value if name_attr is not None else f"in{i}"
+        for arg, (name, t) in zip(block.args, kernel_inputs(kernel)):
             if name not in inputs:
                 raise EvalError(f"missing input '{name}'")
-            value = inputs[name]
-            declared = shape_of(arg.type)
-            if np.shape(value) != declared:
+            value = np.asarray(inputs[name])
+            if value.shape != shape_of(t):
                 raise EvalError(
-                    f"input '{name}' has shape {np.shape(value)}, "
-                    f"expected {declared}"
+                    f"input '{name}' has shape {value.shape}, expected {shape_of(t)}"
                 )
-            value = coerce(value, arg.type)
-            if isinstance(scalar_of(arg.type), RationalType):
-                value = _Pair.of(value)
+            scalar = scalar_of(t)
+            # An input is never a pair, so `_convert` cannot trap on it.
+            value = _convert(value, scalar, kernel)
+            if isinstance(scalar, IndexType):
+                _check_index(value, scalar, f"input '{name}'")
             env[arg] = value
         self._exec_block(block, env, ())
         return self.outputs
@@ -428,8 +384,8 @@ class _Evaluator:
             t = attr.type
             value = np.array(attr.values, dtype=object).reshape(shape_of(t))
         else:
-            value = _attr_value(attr)
-        x = _convert(np.asarray(coerce(value, t)), scalar_of(t), op)
+            value = np.asarray(_attr_value(attr))
+        x = _convert(value, scalar_of(t), op)
         env[op.result] = _each(lambda a: a.reshape((1,) * len(grid) + a.shape), x)
 
     def _arith(self, op: Operation, env, grid) -> None:
@@ -457,7 +413,7 @@ class _Evaluator:
         else:
             out = _apply_arith(op, a, b, in_place)
         if isinstance(rs, IndexType):
-            _check_index(out, rs, op)
+            _check_index(out, rs, op.location)
         if op.kind in ("ekl.mul", "ekl.div"):
             self.counters.multiplies += _points(grid, rt)
         else:
@@ -542,7 +498,7 @@ class _Evaluator:
         scalar, shape, k = scalar_of(target), shape_of(target), len(grid)
         x = _convert(_get(env, op.operands[0], k, len(shape)), scalar, op)
         if isinstance(scalar, IndexType):
-            _check_index(x, scalar, op)
+            _check_index(x, scalar, op.location)
         env[op.result] = _fill(x, k, shape)
 
     def _broadcast(self, op: Operation, env, grid) -> None:
@@ -582,13 +538,14 @@ class _Evaluator:
         in element order; a float assoc consumed only here is generated
         and folded one slab at a time."""
         source = op.operands[0]
-        if not isinstance(source.type, ArrayType) or not _is_sum(op):
+        if not isinstance(source.type, ArrayType) or not is_plain_sum(op):
             raise EvalError(f"{op.location}: only a plain sum can be reduced")
         rs, shape, k = scalar_of(op.result.type), source.type.shape, len(grid)
-        init = coerce(_attr_value(op.attrs["init"]), rs)
+        seed = _attr_value(op.attrs["init"])
+        init = _convert(np.asarray(seed), rs, op)
         producer = source.defining_op
         if not math.prod(shape):
-            out = _convert(np.full((1,) * k, init), rs, op)
+            out = _each(lambda a: a.reshape((1,) * k), init)
         elif producer is not None and producer.kind == "ekl.assoc" and _folds(producer):
             out = None
             step = max(1, _SLAB_ELEMENTS // max(math.prod(grid + shape[1:]), 1))
@@ -603,8 +560,8 @@ class _Evaluator:
             else:
                 mat = _each(lambda a: a.reshape(a.shape[:k] + (-1,)), x)
                 out = mat.sum() if isinstance(mat, _Pair) else mat.sum(axis=-1)
-                if init != 0:
-                    out = _convert(np.asarray(init), rs, op) + out
+                if seed != 0:
+                    out = init + out
                 out = _convert(out, rs, op)
                 if isinstance(out, _Pair):
                     out = out.reduced()
@@ -621,9 +578,13 @@ class _Evaluator:
 
     def _output(self, op: Operation, env, grid) -> None:
         declared = op.attrs["type"].value
-        value = _convert(env[op.operands[0]], scalar_of(declared), op)
-        value = coerce(value, declared)
-        if isinstance(value, np.ndarray) and not value.flags.writeable:
+        shape = shape_of(declared)
+        value = _fill(_convert(env[op.operands[0]], scalar_of(declared), op), 0, shape)
+        if isinstance(value, _Pair):
+            value = _fractions(value)
+        elif not shape:
+            value = value[()]
+        elif not value.flags.writeable:
             value = value.copy()
         self.outputs[op.attrs["name"].value] = value
 
@@ -672,6 +633,29 @@ def eval_module(
 
 
 # --- naive AST oracle --------------------------------------------------------
+
+
+def _to_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (bool, int)):
+        return Fraction(int(x))
+    return Fraction(float(x))
+
+
+def _holds_fractions(x) -> bool:
+    """Whether an oracle value is a Fraction or an array of Fractions."""
+    if isinstance(x, np.ndarray):
+        return x.dtype == object and x.size > 0 and isinstance(x.flat[0], Fraction)
+    return isinstance(x, Fraction)
+
+
+def _ieee_divide(a, b):
+    """Double-precision `a / b` by IEEE 754, where `x / 0` is `inf`,
+    `-inf` or `nan` and raises no warning; a float, or a float array."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.asarray(a, dtype=np.float64) / np.asarray(b, dtype=np.float64)
+    return q if q.ndim else float(q)
 
 
 def eval_ast_oracle(
@@ -750,11 +734,15 @@ def eval_ast_oracle(
                         value = int(value)
                     env[op.result] = value
         elif kind in _ARITH_FUNCS:
-            a, b = env[op.operands[0]], env[op.operands[1]]
-            try:
-                env[op.result] = _ARITH_FUNCS[kind](*_align(a, b))
-            except ZeroDivisionError:
-                raise EvalError(f"{op.location}: division by zero") from None
+            a, b = _align(env[op.operands[0]], env[op.operands[1]])
+            if kind == "ekl.div" and not (_holds_fractions(a) or _holds_fractions(b)):
+                # Floats and machine integers divide to a float.
+                env[op.result] = _ieee_divide(a, b)
+            else:
+                try:
+                    env[op.result] = _ARITH_FUNCS[kind](a, b)
+                except ZeroDivisionError:
+                    raise EvalError(f"{op.location}: division by zero") from None
         elif kind == "ekl.neg":
             env[op.result] = -env[op.operands[0]]
         elif kind == "ekl.cmp":
@@ -882,9 +870,7 @@ def eval_ast_oracle(
         return a, b
 
     block = kernel.body()
-    for i, arg in enumerate(block.args):
-        name_attr = kernel.attrs.get(f"in{i}")
-        name = name_attr.value if name_attr is not None else f"in{i}"
+    for arg, (name, _) in zip(block.args, kernel_inputs(kernel)):
         if name not in inputs:
             raise EvalError(f"missing input '{name}'")
         bind_input(arg, inputs[name])
@@ -903,12 +889,9 @@ def random_inputs(kernel: Operation, rng: np.random.Generator) -> dict[str, obje
     100 in magnitude.
     """
     inputs: dict[str, object] = {}
-    block = kernel.body()
-    for i, arg in enumerate(block.args):
-        name_attr = kernel.attrs.get(f"in{i}")
-        name = name_attr.value if name_attr is not None else f"in{i}"
-        scalar = scalar_of(arg.type)
-        shape = shape_of(arg.type)
+    for name, t in kernel_inputs(kernel):
+        scalar = scalar_of(t)
+        shape = shape_of(t)
         if isinstance(scalar, FloatType):
             value = rng.uniform(-1.0, 1.0, size=shape)
             inputs[name] = value if shape else float(value)
@@ -928,5 +911,5 @@ def random_inputs(kernel: Operation, rng: np.random.Generator) -> dict[str, obje
             den = rng.integers(1, 101, size=shape).astype(object)
             inputs[name] = _FRACTION(num, den)
         else:
-            raise EvalError(f"cannot generate inputs of type {arg.type}")
+            raise EvalError(f"cannot generate inputs of type {t}")
     return inputs

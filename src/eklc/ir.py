@@ -36,7 +36,7 @@ class RationalAttr(Attribute):
     value: Fraction
 
     def __post_init__(self) -> None:
-        # Fraction normalizes on construction; coerce ints defensively.
+        # Fraction normalizes on construction; convert ints defensively.
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
 
@@ -441,6 +441,27 @@ def erase_tree(op: Operation) -> None:
 
 def kernels_of(module: Operation) -> list[Operation]:
     return [op for op in module.body().ops if op.kind == "ekl.kernel"]
+
+
+def kernel_inputs(kernel: Operation) -> list[tuple[str, Type]]:
+    """The (name, type) of each kernel argument, in order; an argument
+    without an `in<i>` name attribute is named `in<i>`."""
+    pairs = []
+    for i, arg in enumerate(kernel.body().args):
+        key = f"in{i}"
+        name_attr = kernel.attrs.get(key)
+        pairs.append((name_attr.value if name_attr is not None else key, arg.type))
+    return pairs
+
+
+def kernel_outputs(kernel: Operation) -> list[tuple[str, Type]]:
+    """The (name, declared type) of each kernel output, in order."""
+    pairs = []
+    i = 0
+    while f"out{i}" in kernel.attrs:
+        pairs.append((kernel.attrs[f"out{i}"].value, kernel.attrs[f"out{i}_type"].value))
+        i += 1
+    return pairs
 
 
 def count_ops(module: Operation) -> int:

@@ -28,19 +28,19 @@ from .types import (
     EXPR,
     F64,
     RATIONAL,
+    SI64,
     ArrayType,
     BoolType,
     CombineError,
     FloatType,
     IndexType,
-    IntType,
     PseudoType,
     RationalType,
     Type,
+    _smallest_int_for,
     broadcast_and_promote,
     broadcast_shapes,
     index_add_bound,
-    int_max,
     is_arithmetic_type,
     scalar_of,
     shape_of,
@@ -126,19 +126,11 @@ def _literal_int_value(v: Value) -> int | None:
     return None
 
 
-def _smallest_int_holding(lo: int, hi: int) -> IntType:
-    for width in (8, 16, 32, 64):
-        c = IntType(width)
-        if -(2 ** (width - 1)) <= lo and hi <= int_max(c):
-            return c
-    return IntType(64)
-
-
 def _demote_index(t: Type) -> Type:
     """Integer type standing in for an index when bounds cannot be tracked."""
     s = scalar_of(t)
     if isinstance(s, IndexType):
-        return with_shape(_smallest_int_holding(0, s.bound - 1), shape_of(t))
+        return with_shape(_smallest_int_for(0, s.bound - 1) or SI64, shape_of(t))
     return t
 
 
@@ -517,3 +509,22 @@ def pseudo_literal(kind: str, loc: Location = Location()) -> Operation:
 
 def make_yield(value: Value, loc: Location = Location()) -> Operation:
     return Operation("ekl.yield", operands=[value], location=loc)
+
+
+# --- structural queries -----------------------------------------------------
+
+
+def is_plain_sum(reduce_op: Operation) -> bool:
+    """Whether a reduce's combiner only adds its two arguments, in either
+    order, and yields the sum. The reduce's `init` is not consulted."""
+    body = reduce_op.body()
+    if len(body.ops) != 2 or len(body.args) != 2:
+        return False
+    add, yld = body.ops
+    args = list(body.args)
+    return (
+        add.kind == "ekl.add"
+        and list(add.operands) in (args, args[::-1])
+        and yld.kind == "ekl.yield"
+        and yld.operands[0] is add.result
+    )

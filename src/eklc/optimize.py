@@ -33,7 +33,7 @@ from .ir import (
     walk_lexical,
 )
 from .normalize import _dce_block
-from .ops import make_literal, make_yield, number_literal
+from .ops import is_plain_sum, make_literal, make_yield, number_literal
 from .types import (
     RATIONAL,
     ArrayType,
@@ -143,20 +143,6 @@ class _Factor:
         return _clone_expr(self.value, dict(mapping), block, inside)
 
 
-def _is_plain_sum(reduce_op: Operation) -> bool:
-    body = reduce_op.body()
-    if len(body.ops) != 2 or len(body.args) != 2:
-        return False
-    add, yld = body.ops
-    return (
-        add.kind == "ekl.add"
-        and yld.kind == "ekl.yield"
-        and list(add.operands) == list(body.args)
-        and yld.operands[0] is add.result
-        and reduce_op.attrs.get("init") == RationalAttr(Fraction(0))
-    )
-
-
 def _summands(value: Value, inside: set[int], sign: int = 1):
     op = value.defining_op
     if op is not None and id(op) in inside:
@@ -209,7 +195,8 @@ def _try_lift(parent: Block, outer: Operation, fast_math: bool) -> None:
         reduce_op is None
         or reduce_op.kind != "ekl.reduce"
         or reduce_op.parent is not body
-        or not _is_plain_sum(reduce_op)
+        or not is_plain_sum(reduce_op)
+        or reduce_op.attrs.get("init") != RationalAttr(Fraction(0))
     ):
         return
     inner = reduce_op.operands[0].defining_op

@@ -9,6 +9,7 @@ container on its own.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .diagnostics import Diagnostic, Location, error
@@ -299,14 +300,20 @@ class Parser:
         result = fold_constexpr(block, loc, self.diagnostics)
         if result is None:
             return 1
-        if isinstance(result, int) and not isinstance(result, bool):
-            result = Fraction(result)
-        if not isinstance(result, Fraction) or result.denominator != 1 or result < 0:
+        if isinstance(result, Fraction) and result.denominator == 1:
+            result = result.numerator
+        # Any integral value but a bool: an int, a NumPy integer, or a 0-d
+        # integer array, as folding an index expression yields.
+        try:
+            n = None if isinstance(result, bool) else operator.index(result)
+        except TypeError:
+            n = None
+        if n is None or n < 0:
             self.error(
                 loc, f"constant extent must be a non-negative integer, got {result}"
             )
             return 1
-        return int(result)
+        return n
 
     # --- statements ---------------------------------------------------------
 

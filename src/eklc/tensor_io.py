@@ -62,6 +62,7 @@ _DTYPE_CODES: list[tuple[int, Type, np.dtype]] = [
 ]
 _CODE_BY_KIND = {kind: (code, dt) for code, kind, dt in _DTYPE_CODES}
 _KIND_BY_CODE = {code: (kind, dt) for code, kind, dt in _DTYPE_CODES}
+_FRACTION = np.frompyfunc(Fraction, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,8 @@ class TensorValue:
         kind = scalar_of(declared)
         shape = shape_of(declared)
         if isinstance(kind, RationalType):
-            arr = np.empty(shape, dtype=object)
-            flat = np.asarray(value, dtype=object).reshape(shape)
-            for idx in np.ndindex(shape) if shape else [()]:
-                arr[idx] = Fraction(flat[idx])
-            return TensorValue(kind, shape, arr)
+            arr = _FRACTION(np.asarray(value, dtype=object).reshape(shape))
+            return TensorValue(kind, shape, np.asarray(arr, dtype=object))
         if isinstance(kind, BoolType):
             return TensorValue(kind, shape, np.asarray(value, dtype=bool).reshape(shape))
         if isinstance(kind, FloatType):
@@ -141,27 +139,26 @@ def read_tensor(path: str) -> TensorValue:
         return _read_rational(blob, path)
     if len(blob) < 8 or blob[:4] != b"EKLT":
         raise MalformedHeaderError(f"{path}: not an EKLT tensor file")
-    version, code, rank = struct.unpack("<BBB", blob[4:7])
+    version, code, rank = struct.unpack_from("<BBB", blob, 4)
     if version != 1:
         raise MalformedHeaderError(f"{path}: unsupported version {version}")
     if code not in _KIND_BY_CODE:
         raise MalformedHeaderError(f"{path}: unknown dtype code {code}")
     kind, dt = _KIND_BY_CODE[code]
-    body = blob[8:]
-    if len(body) < 8 * rank:
+    offset = 8 + 8 * rank
+    if len(blob) < offset:
         raise MalformedHeaderError(f"{path}: header promises {rank} extents")
-    shape = struct.unpack(f"<{rank}Q", body[: 8 * rank])
+    shape = struct.unpack_from(f"<{rank}Q", blob, 8)
     count = math.prod(shape)
-    payload = body[8 * rank :]
-    if len(payload) != count * dt.itemsize:
+    if len(blob) - offset != count * dt.itemsize:
         raise TruncatedPayloadError(
             f"{path}: expected {count * dt.itemsize} payload bytes, "
-            f"found {len(payload)}"
+            f"found {len(blob) - offset}"
         )
-    data = np.frombuffer(payload, dtype=dt).reshape(shape)
-    if isinstance(kind, BoolType):
-        data = data.astype(bool)
-    return TensorValue(kind, tuple(int(e) for e in shape), data.copy())
+    # A view of the file's bytes; the cast or the copy is the payload's one copy.
+    data = np.frombuffer(blob, dtype=dt, count=count, offset=offset).reshape(shape)
+    data = data.astype(bool) if isinstance(kind, BoolType) else data.copy()
+    return TensorValue(kind, tuple(int(e) for e in shape), data)
 
 
 def _write_rational(path: str, t: TensorValue) -> None:

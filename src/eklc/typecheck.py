@@ -274,15 +274,20 @@ class FixPointTypeChecker:
             self.enqueue(v.defining_op)
 
     def run(self) -> bool:
-        """Iterate to fix-point. Returns True when no contradictions arose."""
+        """Iterate to fix-point. Returns True when no contradictions arose;
+        reaching the iteration ceiling first is an error diagnostic."""
         self.seed()
         while self._queue:
-            self.state.iterations += 1
-            if self.state.iterations > self.iteration_ceiling:
-                raise RuntimeError(
-                    f"type checking exceeded iteration ceiling "
-                    f"({self.iteration_ceiling})"
+            if self.state.iterations >= self.iteration_ceiling:
+                self.diagnostics.append(
+                    error(
+                        self.module.location,
+                        f"type checking stopped at its iteration ceiling "
+                        f"({self.iteration_ceiling}) before reaching a fix-point",
+                    )
                 )
+                return False
+            self.state.iterations += 1
             pos, _ = heapq.heappop(self._queue)
             self._queued.discard(pos)
             op = self._by_pos[pos]

@@ -59,6 +59,12 @@ def test_out_of_range_index_input_traps():
         eval_module(module, {"j": np.array([-1, 0]), "T": np.arange(4.0)})
 
 
+def test_an_out_of_range_input_trap_names_the_input():
+    module = _module("kernel k(in j: index<4>, out y: si64) { let y = j; }")
+    with pytest.raises(BoundsTrap, match=r"^input 'j': value out of range for index<4>$"):
+        eval_module(module, {"j": 4})
+
+
 def test_grid_evaluation_matches_the_oracle_and_the_element_count():
     src = (
         "kernel k(in A: f64[4,5], in j: index<3>[4], in s: rational, "
@@ -268,6 +274,28 @@ def test_float_division_by_zero_is_ieee():
             module, {"a": np.array([1.0, 0.0, -1.0]), "b": np.zeros(3)}
         )
     np.testing.assert_array_equal(out["y"], [np.inf, np.nan, -np.inf])
+
+
+@pytest.mark.parametrize(
+    "text,a,b",
+    [
+        ("kernel k(in a: f64, in b: f64, out y: f64) { let y = a / b; }", -1.0, 0.0),
+        ("kernel k(in a: si32, in b: si32, out y: f64) { let y = a / b; }", 1, 0),
+        (
+            "kernel k(in a: f64[3], in b: f64[3], out y: f64[3]) "
+            "{ let y[i] = a[i] / b[i]; }",
+            np.array([1.0, 0.0, -1.0]),
+            np.zeros(3),
+        ),
+    ],
+)
+def test_oracle_float_division_by_zero_is_ieee(text, a, b):
+    kernel = kernels_of(_module(text, "typed"))[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = eval_ast_oracle(kernel, {"a": a, "b": b})
+        got, _ = eval_kernel(kernel, {"a": a, "b": b})
+    np.testing.assert_array_equal(np.asarray(want["y"], dtype=float), got["y"])
 
 
 def test_oracle_reports_division_by_zero_with_a_location():

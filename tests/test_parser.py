@@ -85,6 +85,19 @@ def test_extent_dividing_by_zero_is_reported():
     assert len(notes) == 1 and notes[0].endswith("1:22: division by zero")
 
 
+def test_index_literal_extents_fold():
+    for extent in ("_3", "_1 + 2"):
+        module, diags = parse_source(
+            f"kernel k(in a: f64[{extent}], out y: f64[3]) {{ let y[i] = a[i]; }}"
+        )
+        assert not diags, (extent, [str(d) for d in diags])
+        assert module.body().ops[0].body().args[0].type == ArrayType(F64, (3,))
+    _, diags = parse_source("kernel k(in a: f64[true], out y: f64) { let y = a[0]; }")
+    assert [d.message for d in diags] == [
+        "constant extent must be a non-negative integer, got True"
+    ]
+
+
 def test_pseudo_subscripts_parse():
     module, diags = parse_source(
         "kernel k(in A: f64[2,3], out y: f64[2,3]) { let y = A[:, ...]; }"

@@ -90,6 +90,41 @@ def test_short_payload_is_truncated(tmp_path):
     assert exc.value.code == "truncated-payload"
 
 
+@pytest.mark.parametrize(
+    "blob,error,message",
+    [
+        (b"EKLT" + struct.pack("<BBBx", 2, 4, 0), MalformedHeaderError, "unsupported version 2"),
+        (
+            b"EKLT" + struct.pack("<BBBxQ", 1, 4, 2, 3),
+            MalformedHeaderError,
+            "header promises 2 extents",
+        ),
+        (
+            b"EKLT" + struct.pack("<BBBxQd", 1, 4, 1, 2, 1.0),
+            TruncatedPayloadError,
+            "expected 16 payload bytes, found 8",
+        ),
+        (
+            b"EKLT" + struct.pack("<BBBxQddd", 1, 4, 1, 2, 1.0, 2.0, 3.0),
+            TruncatedPayloadError,
+            "expected 16 payload bytes, found 24",
+        ),
+    ],
+)
+def test_header_and_payload_checks(tmp_path, blob, error, message):
+    path = tmp_path / "t.eklt"
+    path.write_bytes(blob)
+    with pytest.raises(error, match=message):
+        read_tensor(path)
+
+
+def test_empty_tensor_round_trip(tmp_path):
+    path = tmp_path / "empty.eklt"
+    write_tensor(path, TensorValue(F64, (0, 3), np.zeros((0, 3))))
+    back = read_tensor(path)
+    assert back.shape == (0, 3) and back.data.flags.writeable
+
+
 def _kernel(src):
     result = compile_source(src, "t.ekl", stage="optimized")
     assert result.ok

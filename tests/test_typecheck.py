@@ -106,6 +106,16 @@ def test_iteration_ceiling_scales_with_module_size():
     assert checker.iteration_ceiling == 32 * count_ops(module) + 64
 
 
+def test_iteration_ceiling_is_an_error_diagnostic():
+    module, _ = parse_source("kernel k(in a: f64, out y: f64) { let y = a * 2; }")
+    checker = FixPointTypeChecker(module, iteration_ceiling=1)
+    assert checker.run() is False
+    assert checker.state.iterations == 1
+    (diag,) = checker.diagnostics
+    assert diag.severity == "error" and diag.location == module.location
+    assert "iteration ceiling (1)" in diag.message
+
+
 def test_fixpoint_terminates_on_random_modules_within_ceiling():
     rng = np.random.default_rng(99)
     for _ in range(30):
