@@ -197,14 +197,14 @@ def cmd_stats(args) -> int:
     failed = _emit(diags, source)
     if failed or not lifted_stages:
         return EXIT_DIAGNOSTICS
-    naive_stages, _ = compile_all_stages(source, args.file, lift=False, fuse=False)
+    naive = compile_source(source, args.file, lift=False, fuse=False).module
 
     report = {"stages": {}, "kernels": []}
     for stage in STAGES[1:]:
         report["stages"][stage] = count_ops(lifted_stages[stage])
 
     rng_seed = args.seed
-    naive_kernels = kernels_of(naive_stages["optimized"])
+    naive_kernels = kernels_of(naive)
     lifted_kernels = kernels_of(lifted_stages["optimized"])
     for naive_k, lifted_k in zip(naive_kernels, lifted_kernels):
         inputs = random_inputs(naive_k, np.random.default_rng(rng_seed))

@@ -606,12 +606,6 @@ _STEPS = {
 }
 
 
-def evaluate_block(block: Block, env: dict[Value, object]):
-    """Evaluate an isolated expression block over the empty grid; returns
-    the yielded value, a rational as a Fraction."""
-    return _fractions(_Evaluator(OpCounters())._exec_block(block, dict(env), ()))
-
-
 def eval_kernel(
     kernel: Operation, inputs: dict[str, object]
 ) -> tuple[dict[str, object], OpCounters]:
@@ -643,6 +637,13 @@ def _to_fraction(x) -> Fraction:
     return Fraction(float(x))
 
 
+def _as_fractions(value):
+    """`value` with every element an exact Fraction; a Fraction at rank 0."""
+    flat = np.asarray(value, dtype=object).ravel()
+    exact = np.array([_to_fraction(x) for x in flat], dtype=object)
+    return exact.reshape(np.shape(value))[()]
+
+
 def _holds_fractions(x) -> bool:
     """Whether an oracle value is a Fraction or an array of Fractions."""
     if isinstance(x, np.ndarray):
@@ -658,13 +659,35 @@ def _ieee_divide(a, b):
     return q if q.ndim else float(q)
 
 
+def _declared(value, scalar: Type, op: Operation):
+    """An oracle output of Fractions in its declared machine type: an
+    integer kind truncates toward zero, as `int` does, and a value that
+    its dtype cannot hold traps; a float kind rounds correctly to double
+    precision and then takes its width."""
+    kinds = (IntType, IndexType, FloatType)
+    if not _holds_fractions(value) or not isinstance(scalar, kinds):
+        return value
+    if isinstance(scalar, FloatType):
+        out = np.array([float(x) for x in np.ravel(value)])
+        out = out.astype(f"float{scalar.width}")
+    else:
+        dtype = f"int{scalar.width if isinstance(scalar, IntType) else 64}"
+        out = np.array([int(x) for x in np.ravel(value)], dtype=object)
+        info = np.iinfo(dtype)
+        if ((out < info.min) | (out > info.max)).any():
+            raise EvalError(f"{op.location}: value out of range for {scalar}")
+        out = out.astype(dtype)
+    return out.reshape(np.shape(value))[()]
+
+
 def eval_ast_oracle(
     kernel: Operation, inputs: dict[str, object]
 ) -> dict[str, object]:
     """Dynamically typed tree-walking baseline evaluator.
 
-    Ignores the deduced machine types except for input binding and
-    association index extents: rationals stay exact Fractions and float
+    Ignores the deduced machine types except for input binding,
+    association index extents and declared outputs: rationals stay exact
+    Fractions until an output declares a machine type, and float
     arithmetic is uniformly double precision. Used to cross-check the
     instrumented evaluator and every later pipeline stage.
     """
@@ -677,11 +700,7 @@ def eval_ast_oracle(
         if np.shape(value) != shape:
             raise EvalError(f"input shape {np.shape(value)} != declared {shape}")
         if isinstance(scalar, RationalType):
-            arr = np.array(
-                [_to_fraction(x) for x in np.asarray(value, dtype=object).ravel()],
-                dtype=object,
-            ).reshape(shape)
-            env[arg] = arr if shape else arr[()]
+            env[arg] = _as_fractions(value)
         elif isinstance(scalar, FloatType):
             env[arg] = np.asarray(value, dtype=np.float64) if shape else float(value)
         elif isinstance(scalar, BoolType):
@@ -824,14 +843,7 @@ def eval_ast_oracle(
                     else float(value)
                 )
             elif isinstance(target, RationalType):
-                env[op.result] = (
-                    np.array(
-                        [_to_fraction(x) for x in np.asarray(value, dtype=object).ravel()],
-                        dtype=object,
-                    ).reshape(np.shape(value))
-                    if np.shape(value)
-                    else _to_fraction(value)
-                )
+                env[op.result] = _as_fractions(value)
             else:
                 env[op.result] = (
                     np.asarray(value, dtype=np.int64)
@@ -843,7 +855,8 @@ def eval_ast_oracle(
                 np.asarray(env[op.operands[0]]), op.attrs["shape"].value
             ).copy()
         elif kind == "ekl.output":
-            outputs[op.attrs["name"].value] = env[op.operands[0]]
+            scalar = scalar_of(op.attrs["type"].value)
+            outputs[op.attrs["name"].value] = _declared(env[op.operands[0]], scalar, op)
         elif kind == "ekl.yield":
             pass
         else:

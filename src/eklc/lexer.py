@@ -19,12 +19,11 @@ _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
     | (?P<comment>\#[^\n]*|//[^\n]*)
-    | (?P<string>"(\\.|[^"\\])*")
     | (?P<rational>\d+/\d+)
     | (?P<number>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+)
     | (?P<indexlit>_\d+)
     | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-    | (?P<punct>=\+|==|!=|<=|>=|\.\.\.|[-+*/<>=(){}\[\],;:?])
+    | (?P<punct>=\+|==|!=|<=|>=|\.\.\.|[-+*/<>=(){}\[\],;:])
     """,
     re.VERBOSE,
 )
@@ -32,7 +31,7 @@ _TOKEN_RE = re.compile(
 
 @dataclass
 class Token:
-    kind: str  # ident | number | indexlit | string | punct | kw | eof
+    kind: str  # ident | number | indexlit | punct | kw | eof
     text: str
     loc: Location
     value: Fraction | int | str | None = None
@@ -87,9 +86,6 @@ def tokenize(source: str, filename: str = "<ekl>") -> list[Token]:
         elif kind == "ident":
             tk = "kw" if lexeme in KEYWORDS else "ident"
             tokens.append(Token(tk, lexeme, loc, lexeme))
-        elif kind == "string":
-            raw = lexeme[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-            tokens.append(Token("string", lexeme, loc, raw))
         elif kind == "punct":
             tokens.append(Token("punct", lexeme, loc))
         if "\n" in lexeme:

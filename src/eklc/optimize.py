@@ -32,7 +32,7 @@ from .ir import (
     kernels_of,
     walk_lexical,
 )
-from .normalize import _dce_block
+from .normalize import _dce_block, _replace_with, _try_choice, rewrite
 from .ops import is_plain_sum, make_literal, make_yield, number_literal
 from .types import (
     RATIONAL,
@@ -100,10 +100,15 @@ def _extent(arg: Value) -> int | None:
     return arg.type.bound if isinstance(arg.type, IndexType) else None
 
 
-def _mul_value(block: Block, a: Value, b: Value, loc) -> Value:
-    scalar = promote(scalar_of(a.type), scalar_of(b.type)) or scalar_of(a.type)
+def _arith_value(block: Block, kind: str, loc, *operands: Value) -> Value:
+    """Append a `kind` op over one or two operands to `block`; its result
+    has their promoted scalar type, or the first one's."""
+    first, last = (scalar_of(v.type) for v in (operands[0], operands[-1]))
     op = Operation(
-        "ekl.mul", operands=[a, b], result_types=[scalar], location=loc
+        kind,
+        operands=list(operands),
+        result_types=[promote(first, last) or first],
+        location=loc,
     )
     block.append(op)
     return op.result
@@ -241,31 +246,18 @@ def _try_lift(parent: Block, outer: Operation, fast_math: bool) -> None:
         product: Value | None = None
         for f in sorted(factors, key=lambda f: f.multiplicity is not None):
             v = f.emit(mapping, new_block, inside, loc)
-            product = v if product is None else _mul_value(new_block, product, v, loc)
+            product = (
+                v
+                if product is None
+                else _arith_value(new_block, "ekl.mul", loc, product, v)
+            )
         if total is None:
-            if sign < 0:
-                neg = Operation(
-                    "ekl.neg",
-                    operands=[product],
-                    result_types=[scalar_of(product.type)],
-                    location=loc,
-                )
-                new_block.append(neg)
-                product = neg.result
             total = product
+            if sign < 0:
+                total = _arith_value(new_block, "ekl.neg", loc, product)
         else:
             kind = "ekl.add" if sign > 0 else "ekl.sub"
-            scalar = promote(
-                scalar_of(total.type), scalar_of(product.type)
-            ) or scalar_of(total.type)
-            combined = Operation(
-                kind,
-                operands=[total, product],
-                result_types=[scalar],
-                location=loc,
-            )
-            new_block.append(combined)
-            total = combined.result
+            total = _arith_value(new_block, kind, loc, total, product)
     if scalar_of(total.type) != element:
         cast = Operation(
             "ekl.cast",
@@ -345,7 +337,11 @@ def _emit_table(
     product: Value | None = None
     for f in group:
         v = f.emit(sweep_mapping, sweep_block, inside, loc)
-        product = v if product is None else _mul_value(sweep_block, product, v, loc)
+        product = (
+            v
+            if product is None
+            else _arith_value(sweep_block, "ekl.mul", loc, product, v)
+        )
     sweep_block.append(make_yield(product, loc))
     scalar = scalar_of(product.type)
     sweep = Operation(
@@ -357,14 +353,8 @@ def _emit_table(
     )
     table_block.append(sweep)
     combiner = Block([scalar, scalar])
-    add = Operation(
-        "ekl.add",
-        operands=list(combiner.args),
-        result_types=[scalar],
-        location=loc,
-    )
-    combiner.append(add)
-    combiner.append(make_yield(add.result, loc))
+    add = _arith_value(combiner, "ekl.add", loc, *combiner.args)
+    combiner.append(make_yield(add, loc))
     fold = Operation(
         "ekl.reduce",
         operands=[sweep.result],
@@ -392,21 +382,7 @@ def _emit_table(
 
 def if_to_choice(module: Operation) -> Operation:
     """Choices on a constant condition dissolve into the chosen operand."""
-    for op in list(walk_lexical(module)):
-        if op.parent is None:
-            continue
-        if op.kind == "ekl.choice":
-            cond = op.operands[0].defining_op
-            if cond is not None and cond.kind == "ekl.literal":
-                t = cond.attrs["type"].value
-                if isinstance(t, BoolType):
-                    chosen = op.operands[1 if cond.attrs["value"].value else 2]
-                    if chosen.type == op.result.type:
-                        op.result.replace_all_uses_with(chosen)
-                        erase_tree(op)
-    for region in module.regions:
-        _dce_block(region.block)
-    return module
+    return rewrite(module, (_try_choice,))
 
 
 # --- producer fusion ---------------------------------------------------------
@@ -479,27 +455,22 @@ def lower_rationals(module: Operation) -> list[Diagnostic]:
     Returns warnings for constants that are not exactly representable.
     """
     warnings: list[Diagnostic] = []
-    for op in list(walk_lexical(module)):
-        if op.kind != "ekl.cast" or op.parent is None:
-            continue
+
+    def lower(op: Operation) -> bool:
+        if op.kind != "ekl.cast":
+            return False
         src = op.operands[0].defining_op
         if src is None or src.kind != "ekl.literal":
-            continue
+            return False
         attr = src.attrs["value"]
         if not isinstance(attr, RationalAttr):
-            continue
+            return False
         if not isinstance(src.attrs["type"].value, RationalType):
-            continue
+            return False
         target = op.attrs["type"].value
         if isinstance(target, ArrayType):
-            continue
-        if rational_fits_exactly(attr.value, target):
-            lowered = make_literal(attr, target, op.location)
-            lowered.result.type = target
-            op.parent.insert_before(op, lowered)
-            op.result.replace_all_uses_with(lowered.result)
-            erase_tree(op)
-        else:
+            return False
+        if not rational_fits_exactly(attr.value, target):
             warnings.append(
                 warning(
                     op.location,
@@ -507,8 +478,11 @@ def lower_rationals(module: Operation) -> list[Diagnostic]:
                     f"representable as {target}; it will be rounded",
                 )
             )
-    for region in module.regions:
-        _dce_block(region.block)
+            return False
+        _replace_with(op, make_literal(attr, target, op.location))
+        return True
+
+    rewrite(module, (lower,))
     return warnings
 
 

@@ -3,13 +3,12 @@
 Every expression value starts out typed `expr`; concrete types are deduced
 later by the fix-point checker. Constant expressions in type positions are
 built in an isolated block, wrapped in an ephemeral `ekl.program`
-container, and folded immediately by type checking and evaluating that
-container on its own.
+container, and folded immediately by type checking that container and
+running the compiler's exact local rewrites over it.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .diagnostics import Diagnostic, Location, error
@@ -23,6 +22,13 @@ from .ir import (
     Value,
 )
 from .lexer import LexError, Token, tokenize
+from .normalize import (
+    SIMPLIFY_RULES,
+    _exact_value,
+    _literal_value,
+    _try_choice,
+    rewrite,
+)
 from .ops import (
     bool_literal,
     index_literal,
@@ -42,8 +48,10 @@ from .types import (
     SI64,
     ArrayType,
     IndexType,
+    IntType,
     Type,
 )
+from .typecheck import type_check
 
 SOURCE_SCALARS: dict[str, Type] = {
     "bool": BOOL,
@@ -279,11 +287,7 @@ class Parser:
             and nxt.text in (",", "]", ">", ")")
         ):
             self.advance()
-            n = int(tok.value)
-            if n < 0:
-                self.error(tok.loc, f"extent must be non-negative, got {n}")
-                return 0
-            return n
+            return int(tok.value)  # a number token is never negative
         return self._fold_constant_extent(tok.loc)
 
     def _fold_constant_extent(self, loc: Location) -> int:
@@ -297,23 +301,15 @@ class Parser:
             block.append(make_yield(value, loc))
         finally:
             self.block, self.scopes = saved_block, saved_scopes
-        result = fold_constexpr(block, loc, self.diagnostics)
-        if result is None:
+        value = fold_constexpr(block, loc, self.diagnostics)
+        if value is None:
             return 1
-        if isinstance(result, Fraction) and result.denominator == 1:
-            result = result.numerator
-        # Any integral value but a bool: an int, a NumPy integer, or a 0-d
-        # integer array, as folding an index expression yields.
-        try:
-            n = None if isinstance(result, bool) else operator.index(result)
-        except TypeError:
-            n = None
-        if n is None or n < 0:
+        if isinstance(value, bool) or value.denominator != 1 or value < 0:
             self.error(
-                loc, f"constant extent must be a non-negative integer, got {result}"
+                loc, f"constant extent must be a non-negative integer, got {value}"
             )
             return 1
-        return n
+        return int(value)
 
     # --- statements ---------------------------------------------------------
 
@@ -638,28 +634,39 @@ class Parser:
 def fold_constexpr(
     block: Block, loc: Location, diagnostics: list[Diagnostic]
 ) -> Fraction | bool | None:
-    """Run the ordinary pipeline on an isolated constant-expression block.
+    """Type check an isolated constant-expression block and fold it with
+    the compiler's exact local rewrites.
 
-    Returns the yielded scalar, or None after recording diagnostics
-    prefixed with the constant expression's location.
+    Returns the yielded literal's value, or None after recording
+    diagnostics prefixed with the constant expression's location.
     """
-    from .interp import EvalError, evaluate_block
-    from .typecheck import type_check
-
     container = Operation("ekl.program", regions=[Region(block)], location=loc)
     _, diags = type_check(container)
-    if diags:
-        head = error(loc, "in constant expression:")
-        head.notes.extend(diags)
-        diagnostics.append(head)
-        return None
-    try:
-        return evaluate_block(block, {})
-    except EvalError as exc:
-        head = error(loc, "in constant expression:")
-        head.notes.append(error(loc, str(exc)))
-        diagnostics.append(head)
-        return None
+    if not diags:
+        rewrite(container, SIMPLIFY_RULES + (_try_choice,))
+        value = _literal_value(block.ops[-1].operands[0])
+        if value is not None:
+            return value
+        diags = [_not_folded(block, loc)]
+    head = error(loc, "in constant expression:")
+    head.notes.extend(diags)
+    diagnostics.append(head)
+    return None
+
+
+def _not_folded(block: Block, loc: Location) -> Diagnostic:
+    """A note on the first op of a rewritten constant expression that
+    did not fold into a literal."""
+    op = next(op for op in block.ops if op.kind not in ("ekl.literal", "ekl.stack"))
+    if op.kind == "ekl.div" and _literal_value(op.operands[1]) == 0:
+        why = "division by zero"
+    elif _exact_value(op) is not None and isinstance(
+        op.result.type, (IndexType, IntType)
+    ):
+        why = f"value out of range for {op.result.type}"
+    else:
+        why = "value is not an exact constant"
+    return error(loc, f"{op.location}: {why}")
 
 
 def parse_source(

@@ -8,6 +8,7 @@ inclusion: t <: u iff every value of t is exactly representable in u.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,12 +74,6 @@ class RationalType(Type):
 
 
 @dataclass(frozen=True)
-class StringType(Type):
-    def __str__(self) -> str:
-        return "string"
-
-
-@dataclass(frozen=True)
 class ExpressionType(Type):
     """Universal top type carried by every value in syntactical form."""
 
@@ -88,16 +83,17 @@ class ExpressionType(Type):
 
 @dataclass(frozen=True)
 class PseudoType(Type):
-    """Literal pseudo-type: identity ':', extent '*', ellipsis '...', error '?'."""
+    """Literal pseudo-type of a subscript slot: identity ':', extent '*',
+    ellipsis '...'."""
 
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in (":", "*", "...", "?"):
+        if self.kind not in (":", "*", "..."):
             raise ValueError(f"unknown pseudo type {self.kind!r}")
 
     def __str__(self) -> str:
-        names = {":": "identity", "*": "extent", "...": "ellipsis", "?": "error"}
+        names = {":": "identity", "*": "extent", "...": "ellipsis"}
         return f"pseudo_{names[self.kind]}"
 
 
@@ -125,12 +121,10 @@ SI64 = IntType(64)
 F32 = FloatType(32)
 F64 = FloatType(64)
 RATIONAL = RationalType()
-STRING = StringType()
 EXPR = ExpressionType()
 IDENTITY = PseudoType(":")
 EXTENT = PseudoType("*")
 ELLIPSIS = PseudoType("...")
-ERROR = PseudoType("?")
 
 # Largest integer n such that all integers in [0, n] are exact in the float.
 _FLOAT_EXACT_MAX = {32: 2**24, 64: 2**53}
@@ -215,9 +209,9 @@ def is_subtype(t: Type, u: Type) -> bool:
             and t.shape == u.shape
             and is_subtype(t.scalar, u.scalar)
         )
-    if isinstance(t, (PseudoType, StringType, RationalType)):
+    if isinstance(t, (PseudoType, RationalType)):
         return False  # these relate only to themselves and expr
-    if isinstance(u, (PseudoType, StringType, RationalType)):
+    if isinstance(u, (PseudoType, RationalType)):
         return False
     return _scalar_subtype(t, u)
 
@@ -335,8 +329,6 @@ def rational_fits_exactly(value: Fraction, t: Type) -> bool:
     if isinstance(t, IntType):
         return value.denominator == 1 and int_min(t) <= value <= int_max(t)
     if isinstance(t, FloatType):
-        import struct
-
         if value == 0:
             return True
         f = float(value)
@@ -359,12 +351,10 @@ _SCALAR_NAMES = {
     "f32": F32,
     "f64": F64,
     "rational": RATIONAL,
-    "string": STRING,
     "expr": EXPR,
     "pseudo_identity": IDENTITY,
     "pseudo_extent": EXTENT,
     "pseudo_ellipsis": ELLIPSIS,
-    "pseudo_error": ERROR,
 }
 
 

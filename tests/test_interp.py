@@ -372,8 +372,8 @@ def test_ops_outside_the_grid_model_are_errors(text, inputs, message):
 
 # Rationals with numerators and denominators up to 2**70; integers() draws
 # zero numerators too. _SMALL keeps products below 2**31 for si32 casts.
-# The oracle leaves the cast to a declared machine output to its caller:
-# each kernel names the Python conversion that gives it.
+# Each kernel names the Python conversion of its declared output, which
+# the oracle's values already have.
 _BIG = 2**70
 _RATIONALS = st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG))
 _SMALL = st.builds(Fraction, st.integers(-(2**15), 2**15), st.integers(1, _BIG))
@@ -446,3 +446,26 @@ def test_exact_evaluation_matches_the_oracle_bit_for_bit(name, data):
         # repr of the Python values tells -0.0 from 0.0 and 1/2 from 0.5.
         expected = [convert(x) for x in np.ravel(want[out])]
         assert repr(np.ravel(got[out]).tolist()) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "out_type, expected",
+    [
+        ("si32", np.array([0, 7, 20, 0], dtype=np.int32)),
+        ("f64", np.array([-1 / 4, 70 / 9, 20.0, 0.0])),
+    ],
+)
+def test_oracle_applies_declared_output_types(out_type, expected):
+    kernel = kernels_of(
+        _module(
+            f"kernel k({_ABC}, out y: {out_type}[4]) "
+            "{ let y[i] = a[i] * b[i] - c[i]; }",
+            "typed",
+        )
+    )[0]
+    values = np.array([Fraction(1, 2), Fraction(-7, 3), Fraction(5), Fraction(0)])
+    inputs = dict.fromkeys("abc", values)
+    want = eval_ast_oracle(kernel, inputs)["y"]
+    got, _ = eval_kernel(kernel, inputs)
+    assert want.dtype == expected.dtype and want.tolist() == expected.tolist()
+    assert got["y"].dtype == expected.dtype and got["y"].tolist() == expected.tolist()

@@ -54,3 +54,10 @@ def test_unknown_character_raises_with_diagnostic():
     with pytest.raises(LexError) as exc:
         tokenize("let $ = 1;", "t.ekl")
     assert "$" in str(exc.value.diagnostic.message)
+
+
+@pytest.mark.parametrize("src, char", [('let s = "ab";', '"'), ("let q = ?;", "?")])
+def test_strings_and_question_marks_are_illegal_characters(src, char):
+    with pytest.raises(LexError) as info:
+        tokenize(src, "t.ekl")
+    assert info.value.diagnostic.message == f"illegal character {char!r}"

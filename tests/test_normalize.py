@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import glob
+import os
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from conftest import corpus_path, corpus_source
 from eklc.interp import eval_module, eval_ast_oracle, kernels_of, random_inputs
 from eklc.ir import RationalAttr, verify, walk_lexical
+from eklc.ir_text import print_ir
+from eklc.normalize import _licm, simplify
 from eklc.pipeline import compile_all_stages, compile_source
 from eklc.types import ArrayType
 
@@ -137,3 +143,30 @@ def test_every_stage_preserves_oracle_semantics():
                     rtol=1e-12,
                     err_msg=f"stage {name} seed {seed} output {out}",
                 )
+
+
+_VALID_CORPUS = sorted(
+    os.path.relpath(path, corpus_path())
+    for pattern in ("*.ekl", os.path.join("mini", "*.ekl"))
+    for path in glob.glob(corpus_path(pattern))
+)
+_NESTED_INVARIANT = (
+    "kernel k(in A: f64[3, 4], in c: f64, out y: f64[3]) "
+    "{ let y[i] =+ (j) A[i, j] * (c * c + 1); }"
+)
+
+
+@pytest.mark.parametrize("name", _VALID_CORPUS + ["nested_invariant"])
+def test_one_walk_reaches_the_fix_point(name):
+    src = _NESTED_INVARIANT if name == "nested_invariant" else corpus_source(name)
+    module = compile_source(src, name, stage="generators").module
+    before = print_ir(module)
+    simplify(module)
+    _licm(module)
+    assert print_ir(module) == before
+    if name == "nested_invariant":
+        kernel_level = kernels_of(module)[0].body().ops
+        assert any(
+            op.kind == "ekl.mul" and op.operands[0] is op.operands[1]
+            for op in kernel_level
+        ), before

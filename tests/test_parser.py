@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+
+import pytest
 
 from conftest import corpus_source
 from eklc.ir import RationalAttr, verify, walk_lexical
@@ -155,3 +160,56 @@ def test_corpus_files_parse_clean():
         module, diags = parse_source(corpus_source(name), name)
         assert not diags, (name, [str(d) for d in diags])
         assert not verify(module), name
+
+
+@pytest.mark.parametrize(
+    "extent, expected",
+    [
+        ("2 + 3", 5),
+        ("_3", 3),
+        ("_1 + 2", 3),
+        ("6/2", 3),
+        ("-(-4)", 4),
+        ("(2, 3)[_1]", 3),
+        ("(2, 3, 4)[_0 + 1]", 3),
+        ("if (1 < 2) 4 else 5", 4),
+        ("(if (true) 2 else 3) + 1", 3),
+        ("_120 + _120", 240),
+        ("2 * _2", 4),
+        ("0", 0),
+        ("true", "constant extent must be a non-negative integer, got True"),
+        ("1 - 2", "constant extent must be a non-negative integer, got -1"),
+        ("5/2", "constant extent must be a non-negative integer, got 5/2"),
+        ("x", "unknown name 'x'"),
+        ("1 / 0", "t.ekl:1:22: division by zero"),
+        ("_100 * 3", "t.ekl:1:25: value out of range for si8"),
+        ("_200 * _200", "t.ekl:1:25: value out of range for si16"),
+    ],
+)
+def test_constant_extents_fold_exactly(extent, expected):
+    module, diags = parse_source(
+        f"kernel k(in a: f64[{extent}], out y: f64) {{ let y = a[0]; }}", "t.ekl"
+    )
+    if isinstance(expected, int):
+        assert not diags, [str(d) for d in diags]
+        assert module.body().ops[0].body().args[0].type == ArrayType(F64, (expected,))
+    else:
+        assert len(diags) == 1, [str(d) for d in diags]
+        messages = [diags[0].message] + [n.message for n in diags[0].notes]
+        assert messages[-1] == expected, messages
+
+
+def test_compile_path_imports_no_numpy():
+    code = (
+        "import sys\n"
+        "from eklc.pipeline import compile_source\n"
+        "result = compile_source('kernel k(in a: f64[2 + 3], out y: f64[5]) "
+        "{ let y[i] = a[i]; }', stage='optimized')\n"
+        "assert result.ok, [str(d) for d in result.diagnostics]\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
