@@ -17,6 +17,7 @@ go to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -249,6 +250,9 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-fuse", action="store_true", help="disable producer fusion")
 
 
+# Parsing leaves no state in the parser (each call starts from a fresh
+# namespace and copies `append` defaults), so one process builds it once.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eklc", description="EKL tensor kernel compiler and runner"
@@ -299,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(NamedTuple):
+    """An immutable, hashable source span; `str` gives `file:line:col`."""
+
     file: str = "<unknown>"
     line: int = 0
     col: int = 0

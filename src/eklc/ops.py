@@ -7,6 +7,7 @@ functor regions terminated by a yield.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .diagnostics import Diagnostic, Location, error
@@ -222,6 +223,32 @@ def _subscript_slots(op: Operation) -> list[tuple[str, int]]:
     return slots
 
 
+_SLOT_ARITH = {"ekl.add": operator.add, "ekl.sub": operator.sub, "ekl.mul": operator.mul}
+
+
+def _constant_slot(v: Value) -> Fraction | None:
+    """Exact value of a slot built from rational and index literals by
+    neg, add, sub and mul; None when it is not such a constant."""
+    op = v.defining_op
+    if op is None:
+        return None
+    if op.kind == "ekl.literal":
+        attr = op.attrs.get("value")
+        if isinstance(_literal_type(op), (RationalType, IndexType)) and isinstance(
+            attr, (IntAttr, RationalAttr)
+        ):
+            return Fraction(attr.value)
+        return None
+    if op.kind == "ekl.neg":
+        value = _constant_slot(op.operands[0])
+        return None if value is None else -value
+    fn = _SLOT_ARITH.get(op.kind)
+    if fn is None:
+        return None
+    left, right = (_constant_slot(w) for w in op.operands)
+    return None if left is None or right is None else fn(left, right)
+
+
 def subscript_rule(op: Operation, ctx: TypingContext) -> None:
     src = ctx.sample(op.operands[0])
     if src is None:
@@ -267,6 +294,20 @@ def subscript_rule(op: Operation, ctx: TypingContext) -> None:
             )
         if extent == 0:
             raise ctx.contradict("cannot index an axis of extent 0")
+        if isinstance(s, RationalType):
+            # A rational fits `index<N>` by the literal carve-out of `_fits`,
+            # which does not look at its value: prove the value here.
+            value = _constant_slot(operand)
+            if value is None:
+                raise ctx.contradict(
+                    f"rational subscript on axis {axis} is not a constant; "
+                    f"index with an index-typed value"
+                )
+            if value.denominator != 1 or not 0 <= value < extent:
+                raise ctx.contradict(
+                    f"constant subscript {value} on axis {axis} is not an "
+                    f"integer in [0, {extent})"
+                )
         ctx.deduce(operand, upper(IndexType(extent)))
     ctx.deduce(op.result, equiv(with_shape(src.scalar, tuple(kept))))
 

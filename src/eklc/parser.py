@@ -90,8 +90,9 @@ class Parser:
     # --- token helpers ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        if ahead == 0:
+            return self.tokens[self.pos]  # `advance` never passes eof
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -100,7 +101,7 @@ class Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind in ("punct", "kw") and tok.text == text
 
     def accept(self, text: str) -> Token | None:

@@ -3,8 +3,16 @@
 Values accumulate type bounds (unattainable > equivalent > lower > upper,
 most to least restrictive). Typing rules registered on op kinds observe the
 current bounds and add constraints; the checker meets bounds, re-enqueues
-users of refined values in canonical lexical order, and on success
-atomically materializes the deduced types via in-place transmutation.
+users of refined values, and on success atomically materializes the
+deduced types via in-place transmutation.
+
+The worklist is ordered by post-order position: an op runs after every op
+in its regions and after the ops before it in its block. A generator such
+as `ekl.assoc` is re-enqueued by every refinement inside its body; in
+lexical pre-order it would sort ahead of the rest of that body and run
+once per refinement, while in post-order it waits until the body has
+settled (Cooper, Harvey and Kennedy, "Iterative Data-Flow Analysis,
+Revisited", 2004).
 """
 
 from __future__ import annotations
@@ -131,6 +139,15 @@ def meet_into(interval: Interval, bound: TypeBound) -> bool:
         raise ContradictionError("bound is unattainable")
     t = bound.sample
     assert t is not None
+    # A bound whose sample already is the side it constrains changes nothing.
+    if bound.kind is BoundKind.LOWER:
+        if interval.lo == t:
+            return False
+    elif bound.kind is BoundKind.UPPER:
+        if interval.hi == t:
+            return False
+    elif interval.lo == t and interval.hi == t:
+        return False
     changed = False
     if bound.kind in (BoundKind.EQUIVALENT, BoundKind.LOWER):
         # Keep the larger of two lower samples.
@@ -207,21 +224,32 @@ class TypingContext:
         return ContradictionError(message, self.op.location, notes)
 
 
+def _walk_post_order(op: Operation, out: list[Operation]) -> None:
+    """Append `op` after the contents of its regions."""
+    for region in op.regions:
+        for nested in region.block.ops:
+            _walk_post_order(nested, out)
+    out.append(op)
+
+
 class FixPointTypeChecker:
-    """Applies typing rules until a fix-point or contradictions are reached."""
+    """Applies typing rules until a fix-point or contradictions are reached,
+    popping ops in post-order (see the module docstring)."""
 
     def __init__(self, module: Operation, iteration_ceiling: int | None = None):
         self.module = module
         self.state = CheckerState()
-        self.order: dict[int, int] = {}
         ops = list(walk_lexical(module))
-        for i, op in enumerate(ops):
-            self.order[id(op)] = i
         self._ops = ops
-        self._queue: list[tuple[int, int]] = []
+        self._by_pos: list[Operation] = []
+        _walk_post_order(module, self._by_pos)
+        self._pos = {id(op): i for i, op in enumerate(self._by_pos)}
+        self._rules = []
+        for op in self._by_pos:
+            sig = REGISTRY.lookup(op.kind)
+            self._rules.append(None if sig is None else sig.typing_rule)
+        self._queue: list[int] = []
         self._queued: set[int] = set()
-        self._by_pos = {self.order[id(op)]: op for op in ops}
-        self._seq = 0
         self._failed: set[int] = set()
         self._poisoned: set[Value] = set()
         self.diagnostics: list[Diagnostic] = []
@@ -234,15 +262,16 @@ class FixPointTypeChecker:
         )
 
     def enqueue(self, op: Operation) -> None:
-        pos = self.order.get(id(op))
-        if pos is None or pos in self._queued or id(op) in self._failed:
-            return
-        sig = REGISTRY.lookup(op.kind)
-        if sig is None or sig.typing_rule is None:
+        pos = self._pos.get(id(op))
+        if (
+            pos is None
+            or pos in self._queued
+            or pos in self._failed
+            or self._rules[pos] is None
+        ):
             return
         self._queued.add(pos)
-        heapq.heappush(self._queue, (pos, self._seq))
-        self._seq += 1
+        heapq.heappush(self._queue, pos)
 
     def seed(self) -> None:
         for op in self._ops:
@@ -277,8 +306,10 @@ class FixPointTypeChecker:
         """Iterate to fix-point. Returns True when no contradictions arose;
         reaching the iteration ceiling first is an error diagnostic."""
         self.seed()
-        while self._queue:
-            if self.state.iterations >= self.iteration_ceiling:
+        queue, queued, failed = self._queue, self._queued, self._failed
+        poisoned, state = self._poisoned, self.state
+        while queue:
+            if state.iterations >= self.iteration_ceiling:
                 self.diagnostics.append(
                     error(
                         self.module.location,
@@ -287,27 +318,30 @@ class FixPointTypeChecker:
                     )
                 )
                 return False
-            self.state.iterations += 1
-            pos, _ = heapq.heappop(self._queue)
-            self._queued.discard(pos)
+            pos = heapq.heappop(queue)
+            queued.discard(pos)
+            if pos in failed:
+                # Re-enqueued by one of its own deductions before it failed.
+                continue
+            state.iterations += 1
             op = self._by_pos[pos]
-            if any(v in self._poisoned for v in op.operands):
+            if poisoned and any(v in poisoned for v in op.operands):
                 continue  # suppress contradictions dependent on earlier ones
-            sig = REGISTRY.lookup(op.kind)
             ctx = TypingContext(self, op)
             try:
-                sig.typing_rule(op, ctx)
+                self._rules[pos](op, ctx)
                 for v, bound in ctx.deductions:
-                    if v in self._poisoned:
+                    if v in poisoned:
                         continue
-                    if meet_into(self.state.interval(v), bound):
+                    if meet_into(state.interval(v), bound):
                         self._invalidate(v)
             except ContradictionError as exc:
-                self._fail(op, exc)
+                self._fail(pos, exc)
         return not self.diagnostics
 
-    def _fail(self, op: Operation, exc: ContradictionError) -> None:
-        self._failed.add(id(op))
+    def _fail(self, pos: int, exc: ContradictionError) -> None:
+        self._failed.add(pos)
+        op = self._by_pos[pos]
         for res in op.results:
             self._poisoned.add(res)
         diag = error(exc.location or op.location, exc.message)

@@ -224,3 +224,39 @@ def test_a_rational_cast_out_of_range_is_reported(tmp_path):
     assert done.stderr.startswith(f"error: {src}:2:")
     assert done.stderr.endswith(": value out of range for si32\n")
     assert done.stderr.count("\n") == 1
+
+
+def test_repeated_calls_in_one_process_share_no_state(good, tmp_path, capsys):
+    x = tmp_path / "x.eklt"
+    y = tmp_path / "y.eklt"
+    write_tensor(x, TensorValue(F64, (4,), np.array([1.0, 2.0, 3.0, 4.0])))
+
+    def report(*argv):
+        assert main(["run", good, "--json", *argv]) == 0
+        (kernel,) = json.loads(capsys.readouterr().out)["kernels"]
+        return kernel["random_inputs"], kernel["outputs"]
+
+    assert report("--in", f"x={x}", "--out", f"y={y}") == (["j"], {"y": str(y)})
+    # Bindings of the call before do not carry over.
+    assert report() == (["x", "j"], {})
+    assert report("--out", f"y={y}") == (["x", "j"], {"y": str(y)})
+
+    src = tmp_path / "sf.ekl"
+    src.write_text(SUMFACT.replace("rational", "f64"))
+
+    def dump(*flags):
+        assert main(["dump", str(src), "--stage", "optimized", *flags]) == 0
+        return capsys.readouterr().out
+
+    plain = dump()
+    assert dump("--fast-math") != plain
+    assert dump() == plain
+
+    with pytest.raises(SystemExit) as exc:
+        main(["run", good, "--seed", "many"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("eklc ")
+    assert main(["check", good]) == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from eklc.diagnostics import Location
 from eklc.lexer import LexError, tokenize
 
 
@@ -61,3 +62,55 @@ def test_strings_and_question_marks_are_illegal_characters(src, char):
     with pytest.raises(LexError) as info:
         tokenize(src, "t.ekl")
     assert info.value.diagnostic.message == f"illegal character {char!r}"
+
+
+def test_tokens_of_a_multi_line_source_are_pinned():
+    src = "kernel k # note\r\n\tlet y =+ 3/4 * 1.5e3; // tail\r\n  x[_7, ...] / 12\n"
+    got = [
+        (t.kind, t.text, t.value, (t.loc.line, t.loc.col, t.loc.end_line, t.loc.end_col))
+        for t in tokenize(src, "t.ekl")
+    ]
+    assert got == [
+        ("kw", "kernel", "kernel", (1, 1, 1, 7)),
+        ("ident", "k", "k", (1, 8, 1, 9)),
+        ("kw", "let", "let", (2, 2, 2, 5)),
+        ("ident", "y", "y", (2, 6, 2, 7)),
+        ("punct", "=+", None, (2, 8, 2, 10)),
+        ("number", "3/4", Fraction(3, 4), (2, 11, 2, 14)),
+        ("punct", "*", None, (2, 15, 2, 16)),
+        ("number", "1.5e3", Fraction(1500), (2, 17, 2, 22)),
+        ("punct", ";", None, (2, 22, 2, 23)),
+        ("ident", "x", "x", (3, 3, 3, 4)),
+        ("punct", "[", None, (3, 4, 3, 5)),
+        ("indexlit", "_7", 7, (3, 5, 3, 7)),
+        ("punct", ",", None, (3, 7, 3, 8)),
+        ("punct", "...", None, (3, 9, 3, 12)),
+        ("punct", "]", None, (3, 12, 3, 13)),
+        ("punct", "/", None, (3, 14, 3, 15)),
+        ("number", "12", Fraction(12), (3, 16, 3, 18)),
+        ("eof", "", None, (4, 1, 0, 0)),
+    ]
+    assert all(t.loc.file == "t.ekl" for t in tokenize(src, "t.ekl"))
+
+
+@pytest.mark.parametrize(
+    "src, where, message",
+    [
+        ("let a = 1;\n\tb $", "t.ekl:2:4", "illegal character '$'"),
+        ("a\r\nb\r\n  c = 1/0;", "t.ekl:3:7", "zero denominator in '1/0'"),
+    ],
+)
+def test_lexical_errors_are_located(src, where, message):
+    with pytest.raises(LexError) as info:
+        tokenize(src, "t.ekl")
+    assert str(info.value.diagnostic) == f"{where}: error: {message}"
+
+
+def test_locations_are_immutable_hashable_values():
+    loc = tokenize("\n  ab", "t.ekl")[0].loc
+    assert str(loc) == "t.ekl:2:3"
+    assert loc == Location("t.ekl", 2, 3, 2, 5) and hash(loc) == hash(Location("t.ekl", 2, 3, 2, 5))
+    assert {loc: 1}[Location("t.ekl", 2, 3, 2, 5)] == 1
+    with pytest.raises(AttributeError):
+        loc.line = 5
+    assert str(Location()) == "<unknown>:0:0"

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
-from conftest import corpus_source
+from conftest import corpus_path, corpus_source
+from eklc.interp import eval_module
 from eklc.ir import count_ops, walk_lexical
 from eklc.parser import parse_source
+from eklc.pipeline import compile_source
 from eklc.typecheck import (
     BoundKind,
     FixPointTypeChecker,
@@ -129,3 +133,55 @@ def test_bound_kinds_are_ordered():
     assert BoundKind.UPPER.value < BoundKind.LOWER.value
     assert BoundKind.LOWER.value < BoundKind.EQUIVALENT.value
     assert BoundKind.EQUIVALENT.value < BoundKind.UNATTAINABLE.value
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("let y[i] = A[i, 5];", "constant subscript 5 on axis 1 is not an integer in [0, 4)"),
+        ("let y[i] = A[i, -1];", "constant subscript -1 on axis 1 is not an integer in [0, 4)"),
+        ("let y[i] = A[i, 2 * 2];", "constant subscript 4 on axis 1 is not an integer in [0, 4)"),
+        ("let y[i] = (a, a, a)[3];", "constant subscript 3 on axis 0 is not an integer in [0, 3)"),
+        ("let y[i] = (a, a, a)[2.5];", "constant subscript 5/2 on axis 0 is not an integer in [0, 3)"),
+        ("let y[i] = A[i, r];", "rational subscript on axis 1 is not a constant"),
+    ],
+)
+def test_constant_subscript_slots_are_proven_in_range(body, message):
+    src = (
+        "kernel k(in A: f64[4, 4], in a: f64, in r: rational, out y: f64[4]) {\n"
+        f"  {body}\n}}"
+    )
+    _, diags = _checked(src)
+    assert len(diags) == 1 and diags[0].message.startswith(message), [str(d) for d in diags]
+    assert diags[0].location.line == 2
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ("let y[i] = A[i, 3];", lambda A, a, b, c: A[:, 3]),
+        ("let y[i] = A[i, 2 - 1];", lambda A, a, b, c: A[:, 1]),
+        ("let y[i] = A[i, -1 + 3/2 * 2];", lambda A, a, b, c: A[:, 2]),
+        ("let y[i] = (a, b, c)[2];", lambda A, a, b, c: np.full(4, c)),
+    ],
+)
+def test_in_range_constant_subscript_slots_compile(body, expected):
+    src = (
+        "kernel k(in A: f64[4, 4], in a: f64, in b: f64, in c: f64, out y: f64[4]) {\n"
+        f"  {body}\n}}"
+    )
+    result = compile_source(src, "t.ekl")
+    assert not result.diagnostics, [str(d) for d in result.diagnostics]
+    A = np.arange(16.0).reshape(4, 4)
+    outputs, _ = eval_module(result.module, {"A": A, "a": 1.0, "b": 2.0, "c": 3.0})
+    np.testing.assert_array_equal(outputs["y"], expected(A, 1.0, 2.0, 3.0))
+
+
+INVALID = sorted(os.listdir(corpus_path("invalid")))
+
+
+@pytest.mark.parametrize("name", INVALID)
+def test_each_invalid_kernel_reports_one_error(name):
+    result = compile_source(corpus_source("invalid", name), name, stage="typed")
+    errors = [d for d in result.diagnostics if d.severity == "error"]
+    assert len(errors) == 1, [str(d) for d in errors]
