@@ -17,7 +17,6 @@ go to stdout.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -250,9 +249,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-fuse", action="store_true", help="disable producer fusion")
 
 
-# Parsing leaves no state in the parser (each call starts from a fresh
-# namespace and copies `append` defaults), so one process builds it once.
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eklc", description="EKL tensor kernel compiler and runner"
@@ -303,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     return args.func(args)
 
 

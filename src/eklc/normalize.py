@@ -40,7 +40,15 @@ from .ir import (
     erase_tree,
     walk_lexical,
 )
-from .ops import CMP_PREDICATES, index_literal, make_literal, make_yield, pseudo_literal
+from .ops import (
+    _EXACT,
+    CMP_PREDICATES,
+    _literal_value,
+    index_literal,
+    make_literal,
+    make_yield,
+    pseudo_literal,
+)
 from .types import (
     ArrayType,
     BoolType,
@@ -102,23 +110,6 @@ def rewrite(module: Operation, rules: Iterable[Rule]) -> Operation:
 # --- simplify ----------------------------------------------------------------
 
 
-def _literal_value(v: Value) -> Fraction | bool | None:
-    """The exact value of a scalar literal: a bool for a bool literal, a
-    Fraction for a rational, index or integer one; otherwise None."""
-    op = v.defining_op
-    if op is None or op.kind != "ekl.literal":
-        return None
-    t = op.attrs["type"].value
-    attr = op.attrs["value"]
-    if isinstance(t, BoolType) and isinstance(attr, IntAttr):
-        return bool(attr.value)
-    if isinstance(t, (RationalType, IndexType, IntType)) and isinstance(
-        attr, (IntAttr, RationalAttr)
-    ):
-        return Fraction(attr.value)
-    return None
-
-
 def _is_pseudo_literal(op: Operation | None) -> bool:
     return (
         op is not None
@@ -145,14 +136,6 @@ def _forward(op: Operation, value: Value) -> bool:
 
 
 _UNIT = {"ekl.add": 0, "ekl.sub": 0, "ekl.mul": 1, "ekl.div": 1}
-
-_EXACT = {
-    "ekl.add": operator.add,
-    "ekl.sub": operator.sub,
-    "ekl.mul": operator.mul,
-    "ekl.div": operator.truediv,
-    "ekl.neg": operator.neg,
-}
 
 _CMP_PY = {pred: getattr(operator, pred) for pred in CMP_PREDICATES}
 

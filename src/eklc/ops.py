@@ -35,6 +35,7 @@ from .types import (
     CombineError,
     FloatType,
     IndexType,
+    IntType,
     PseudoType,
     RationalType,
     Type,
@@ -125,6 +126,32 @@ def _literal_int_value(v: Value) -> int | None:
     if isinstance(attr, RationalAttr) and attr.value.denominator == 1:
         return int(attr.value)
     return None
+
+
+def _literal_value(v: Value) -> Fraction | bool | None:
+    """The exact value of a scalar literal: a bool for a bool literal, a
+    Fraction for a rational, index or integer one; otherwise None."""
+    op = v.defining_op
+    if op is None or op.kind != "ekl.literal":
+        return None
+    t = op.attrs["type"].value
+    attr = op.attrs["value"]
+    if isinstance(t, BoolType) and isinstance(attr, IntAttr):
+        return bool(attr.value)
+    if isinstance(t, (RationalType, IndexType, IntType)) and isinstance(
+        attr, (IntAttr, RationalAttr)
+    ):
+        return Fraction(attr.value)
+    return None
+
+
+_EXACT = {
+    "ekl.add": operator.add,
+    "ekl.sub": operator.sub,
+    "ekl.mul": operator.mul,
+    "ekl.div": operator.truediv,
+    "ekl.neg": operator.neg,
+}
 
 
 def _demote_index(t: Type) -> Type:
@@ -223,30 +250,21 @@ def _subscript_slots(op: Operation) -> list[tuple[str, int]]:
     return slots
 
 
-_SLOT_ARITH = {"ekl.add": operator.add, "ekl.sub": operator.sub, "ekl.mul": operator.mul}
-
-
 def _constant_slot(v: Value) -> Fraction | None:
-    """Exact value of a slot built from rational and index literals by
-    neg, add, sub and mul; None when it is not such a constant."""
+    """Exact value of a slot built from literals by arithmetic and
+    negation; None when it is not such a constant or divides by zero."""
     op = v.defining_op
     if op is None:
         return None
     if op.kind == "ekl.literal":
-        attr = op.attrs.get("value")
-        if isinstance(_literal_type(op), (RationalType, IndexType)) and isinstance(
-            attr, (IntAttr, RationalAttr)
-        ):
-            return Fraction(attr.value)
-        return None
-    if op.kind == "ekl.neg":
-        value = _constant_slot(op.operands[0])
-        return None if value is None else -value
-    fn = _SLOT_ARITH.get(op.kind)
+        return _literal_value(v)
+    fn = _EXACT.get(op.kind)
     if fn is None:
         return None
-    left, right = (_constant_slot(w) for w in op.operands)
-    return None if left is None or right is None else fn(left, right)
+    values = [_constant_slot(w) for w in op.operands]
+    if any(x is None for x in values) or (op.kind == "ekl.div" and values[1] == 0):
+        return None
+    return fn(*values)
 
 
 def subscript_rule(op: Operation, ctx: TypingContext) -> None:

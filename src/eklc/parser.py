@@ -22,14 +22,9 @@ from .ir import (
     Value,
 )
 from .lexer import LexError, Token, tokenize
-from .normalize import (
-    SIMPLIFY_RULES,
-    _exact_value,
-    _literal_value,
-    _try_choice,
-    rewrite,
-)
+from .normalize import SIMPLIFY_RULES, _exact_value, _try_choice, rewrite
 from .ops import (
+    _literal_value,
     bool_literal,
     index_literal,
     make_yield,

@@ -139,15 +139,6 @@ def meet_into(interval: Interval, bound: TypeBound) -> bool:
         raise ContradictionError("bound is unattainable")
     t = bound.sample
     assert t is not None
-    # A bound whose sample already is the side it constrains changes nothing.
-    if bound.kind is BoundKind.LOWER:
-        if interval.lo == t:
-            return False
-    elif bound.kind is BoundKind.UPPER:
-        if interval.hi == t:
-            return False
-    elif interval.lo == t and interval.hi == t:
-        return False
     changed = False
     if bound.kind in (BoundKind.EQUIVALENT, BoundKind.LOWER):
         # Keep the larger of two lower samples.

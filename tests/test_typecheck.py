@@ -143,7 +143,9 @@ def test_bound_kinds_are_ordered():
         ("let y[i] = A[i, 2 * 2];", "constant subscript 4 on axis 1 is not an integer in [0, 4)"),
         ("let y[i] = (a, a, a)[3];", "constant subscript 3 on axis 0 is not an integer in [0, 3)"),
         ("let y[i] = (a, a, a)[2.5];", "constant subscript 5/2 on axis 0 is not an integer in [0, 3)"),
+        ("let y[i] = A[i, 8 / 2];", "constant subscript 4 on axis 1 is not an integer in [0, 4)"),
         ("let y[i] = A[i, r];", "rational subscript on axis 1 is not a constant"),
+        ("let y[i] = A[i, 1 / 0];", "rational subscript on axis 1 is not a constant"),
     ],
 )
 def test_constant_subscript_slots_are_proven_in_range(body, message):
@@ -162,6 +164,7 @@ def test_constant_subscript_slots_are_proven_in_range(body, message):
         ("let y[i] = A[i, 3];", lambda A, a, b, c: A[:, 3]),
         ("let y[i] = A[i, 2 - 1];", lambda A, a, b, c: A[:, 1]),
         ("let y[i] = A[i, -1 + 3/2 * 2];", lambda A, a, b, c: A[:, 2]),
+        ("let y[i] = A[i, 4 / 2];", lambda A, a, b, c: A[:, 2]),
         ("let y[i] = (a, b, c)[2];", lambda A, a, b, c: np.full(4, c)),
     ],
 )
