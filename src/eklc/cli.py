@@ -6,8 +6,9 @@ Subcommands:
 - ``dump``: print the IR of a chosen pipeline stage.
 - ``run``: compile, evaluate on bound or seeded random inputs, write
   output tensors, and report operation counters.
-- ``stats``: per-stage operation counts plus a naive versus lifted
-  multiply comparison.
+- ``stats``: per-stage operation counts plus a comparison of the
+  counters of the ``generators`` (naive) and ``optimized`` (lifted)
+  stages.
 
 Exit codes: 0 on success, 1 when error diagnostics were emitted, 2 on
 usage errors, 3 on I/O errors. Diagnostics go to stderr; IR and reports
@@ -79,12 +80,7 @@ def cmd_check(args) -> int:
 def cmd_dump(args) -> int:
     source = _read_source(args.file)
     result = compile_source(
-        source,
-        args.file,
-        stage=args.stage,
-        fast_math=args.fast_math,
-        lift=not args.no_lift,
-        fuse=not args.no_fuse,
+        source, args.file, stage=args.stage, fast_math=args.fast_math
     )
     failed = _emit(result.diagnostics + result.warnings, source)
     if failed or result.module is None:
@@ -95,14 +91,7 @@ def cmd_dump(args) -> int:
 
 def cmd_run(args) -> int:
     source = _read_source(args.file)
-    result = compile_source(
-        source,
-        args.file,
-        stage="optimized",
-        fast_math=args.fast_math,
-        lift=not args.no_lift,
-        fuse=not args.no_fuse,
-    )
+    result = compile_source(source, args.file, fast_math=args.fast_math)
     failed = _emit(result.diagnostics + result.warnings, source)
     if failed or result.module is None:
         return EXIT_DIAGNOSTICS
@@ -187,25 +176,20 @@ def cmd_run(args) -> int:
 
 def cmd_stats(args) -> int:
     source = _read_source(args.file)
-    lifted_stages, diags = compile_all_stages(
-        source,
-        args.file,
-        fast_math=args.fast_math,
-        lift=not args.no_lift,
-        fuse=not args.no_fuse,
-    )
+    stages, diags = compile_all_stages(source, args.file, fast_math=args.fast_math)
     failed = _emit(diags, source)
-    if failed or not lifted_stages:
+    if failed or not stages:
         return EXIT_DIAGNOSTICS
-    naive = compile_source(source, args.file, lift=False, fuse=False).module
 
     report = {"stages": {}, "kernels": []}
     for stage in STAGES[1:]:
-        report["stages"][stage] = count_ops(lifted_stages[stage])
+        report["stages"][stage] = count_ops(stages[stage])
 
     rng_seed = args.seed
-    naive_kernels = kernels_of(naive)
-    lifted_kernels = kernels_of(lifted_stages["optimized"])
+    # The naive side is the `generators` stage: the kernel before any
+    # optimization pass.
+    naive_kernels = kernels_of(stages["generators"])
+    lifted_kernels = kernels_of(stages["optimized"])
     for naive_k, lifted_k in zip(naive_kernels, lifted_kernels):
         inputs = random_inputs(naive_k, np.random.default_rng(rng_seed))
         try:
@@ -245,8 +229,6 @@ def cmd_stats(args) -> int:
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fast-math", action="store_true", help="allow float reassociation")
-    p.add_argument("--no-lift", action="store_true", help="disable reduction lifting")
-    p.add_argument("--no-fuse", action="store_true", help="disable producer fusion")
 
 
 def build_parser() -> argparse.ArgumentParser:

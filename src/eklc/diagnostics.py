@@ -65,7 +65,8 @@ def render_diagnostic(diag: Diagnostic, source: str | None = None) -> str:
             lines.append(text)
             lines.append(" " * max(diag.location.col - 1, 0) + "^")
     for note in diag.notes:
-        lines.append(f"  note: {note.message}")
+        where = f"{note.location}: " if note.location.line > 0 else ""
+        lines.append(f"  note: {where}{note.message}")
     return "\n".join(lines)
 
 

@@ -48,7 +48,6 @@ import numpy as np
 
 from .ir import (
     Block,
-    DenseAttr,
     IntAttr,
     Operation,
     RationalAttr,
@@ -379,12 +378,7 @@ class _Evaluator:
         if isinstance(t, PseudoType):
             env[op.result] = t
             return
-        attr = op.attrs["value"]
-        if isinstance(attr, DenseAttr):
-            t = attr.type
-            value = np.array(attr.values, dtype=object).reshape(shape_of(t))
-        else:
-            value = np.asarray(_attr_value(attr))
+        value = np.asarray(_attr_value(op.attrs["value"]))
         x = _convert(value, scalar_of(t), op)
         env[op.result] = _each(lambda a: a.reshape((1,) * len(grid) + a.shape), x)
 
@@ -501,10 +495,6 @@ class _Evaluator:
             _check_index(x, scalar, op.location)
         env[op.result] = _fill(x, k, shape)
 
-    def _broadcast(self, op: Operation, env, grid) -> None:
-        shape, k = tuple(op.attrs["shape"].value), len(grid)
-        env[op.result] = _fill(_get(env, op.operands[0], k, len(shape)), k, shape)
-
     def _generate(self, op: Operation, env, grid, rows: range | None = None):
         """The value of an assoc over `grid`: its body runs over `grid`
         followed by the assoc's extents, or only by `rows` of its first
@@ -598,7 +588,6 @@ _STEPS = {
     "ekl.stack": _Evaluator._stack,
     "ekl.choice": _Evaluator._choice,
     "ekl.cast": _Evaluator._cast,
-    "ekl.broadcast": _Evaluator._broadcast,
     "ekl.assoc": _Evaluator._assoc,
     "ekl.reduce": _Evaluator._reduce,
     "ekl.if_stmt": _Evaluator._if_stmt,
@@ -736,22 +725,12 @@ def eval_ast_oracle(
             if isinstance(t, PseudoType):
                 env[op.result] = t
             else:
-                attr = op.attrs["value"]
-                if isinstance(attr, DenseAttr):
-                    vals = [
-                        _to_fraction(x) if not isinstance(x, float) else x
-                        for x in attr.values
-                    ]
-                    env[op.result] = np.array(vals, dtype=object).reshape(
-                        shape_of(attr.type)
-                    )
-                else:
-                    value = _attr_value(attr)
-                    if isinstance(t, BoolType):
-                        value = bool(value)
-                    elif isinstance(t, IndexType):
-                        value = int(value)
-                    env[op.result] = value
+                value = _attr_value(op.attrs["value"])
+                if isinstance(t, BoolType):
+                    value = bool(value)
+                elif isinstance(t, IndexType):
+                    value = int(value)
+                env[op.result] = value
         elif kind in _ARITH_FUNCS:
             a, b = _align(env[op.operands[0]], env[op.operands[1]])
             if kind == "ekl.div" and not (_holds_fractions(a) or _holds_fractions(b)):
@@ -850,10 +829,6 @@ def eval_ast_oracle(
                     if np.shape(value)
                     else int(value)
                 )
-        elif kind == "ekl.broadcast":
-            env[op.result] = np.broadcast_to(
-                np.asarray(env[op.operands[0]]), op.attrs["shape"].value
-            ).copy()
         elif kind == "ekl.output":
             scalar = scalar_of(op.attrs["type"].value)
             outputs[op.attrs["name"].value] = _declared(env[op.operands[0]], scalar, op)

@@ -60,14 +60,6 @@ class ShapeAttr(Attribute):
             raise ValueError("shape extents must be non-negative")
 
 
-@dataclass(frozen=True)
-class DenseAttr(Attribute):
-    """Dense tensor literal: scalar element type, shape, row-major values."""
-
-    type: Type  # ArrayType or scalar type
-    values: tuple  # of Fraction / int / float / bool
-
-
 # --- values and structure ---------------------------------------------------
 
 

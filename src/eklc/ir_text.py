@@ -16,7 +16,6 @@ from .diagnostics import Location
 from .ir import (
     Attribute,
     Block,
-    DenseAttr,
     IntAttr,
     Operation,
     RationalAttr,
@@ -27,12 +26,27 @@ from .ir import (
     Value,
 )
 from .types import (
+    BOOL,
+    ELLIPSIS,
     EXPR,
+    F32,
+    F64,
+    IDENTITY,
+    RATIONAL,
+    SI8,
+    SI16,
+    SI32,
+    SI64,
     ArrayType,
     IndexType,
     Type,
-    _SCALAR_NAMES,
 )
+
+# Types written as one name, keyed by how they print.
+_SCALAR_NAMES = {
+    str(t): t
+    for t in (BOOL, SI8, SI16, SI32, SI64, F32, F64, RATIONAL, EXPR, IDENTITY, ELLIPSIS)
+}
 
 
 # --- printing ---------------------------------------------------------------
@@ -49,20 +63,7 @@ def _attr_to_text(attr: Attribute) -> str:
         return str(attr.value)
     if isinstance(attr, ShapeAttr):
         return "[" + ", ".join(str(e) for e in attr.value) + "]"
-    if isinstance(attr, DenseAttr):
-        vals = ", ".join(_dense_value_to_text(v) for v in attr.values)
-        return f"dense<{attr.type}, [{vals}]>"
     raise TypeError(f"unknown attribute {attr!r}")
-
-
-def _dense_value_to_text(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
 
 
 class _Printer:
@@ -138,7 +139,6 @@ _TOKEN_RE = re.compile(
       (?P<ws>\s+)
     | (?P<comment>//[^\n]*)
     | (?P<string>"(\\.|[^"\\])*")
-    | (?P<float>-?\d+\.\d+(e[+-]?\d+)?|-?\d+e[+-]?\d+)
     | (?P<int>-?\d+)
     | (?P<value>%\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
@@ -261,37 +261,9 @@ class _IrParser:
                     self.next()
             self.expect("]")
             return ShapeAttr(tuple(extents))
-        if tok.text == "dense":
-            self.next()
-            self.expect("<")
-            dtype = self.parse_type()
-            self.expect(",")
-            self.expect("[")
-            values = []
-            while self.peek().text != "]":
-                values.append(self.parse_dense_value())
-                if self.peek().text == ",":
-                    self.next()
-            self.expect("]")
-            self.expect(">")
-            return DenseAttr(dtype, tuple(values))
         if tok.kind == "ident":
             return TypeAttr(self.parse_type())
         raise IrSyntaxError(tok.loc, f"expected an attribute, found {tok.text!r}")
-
-    def parse_dense_value(self):
-        tok = self.next()
-        if tok.kind == "float":
-            return float(tok.text)
-        if tok.kind == "int":
-            value = int(tok.text)
-            if self.peek().text == "/":
-                self.next()
-                return Fraction(value, self.expect_int())
-            return value
-        if tok.text in ("true", "false"):
-            return tok.text == "true"
-        raise IrSyntaxError(tok.loc, f"expected a value, found {tok.text!r}")
 
     # -- values, regions, ops --
 

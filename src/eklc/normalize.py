@@ -291,7 +291,7 @@ def _expand_ellipsis(op: Operation) -> None:
 
 
 def _make_explicit(op: Operation) -> bool:
-    """Give `op` explicit casts and broadcasts; the op itself stays."""
+    """Give `op` explicit casts; the op itself stays."""
     kind = op.kind
     if kind == "ekl.subscript":
         _expand_ellipsis(op)
@@ -312,19 +312,8 @@ def _make_explicit(op: Operation) -> bool:
         rs = scalar_of(op.result.type)
         _cast_operands_to(op, list(range(len(op.operands))), rs)
     elif kind == "ekl.output":
-        declared = op.attrs["type"].value
-        _cast_operands_to(op, [0], scalar_of(declared))
-        v = op.operands[0]
-        if shape_of(v.type) != shape_of(declared):
-            bc = Operation(
-                "ekl.broadcast",
-                operands=[v],
-                attrs={"shape": ShapeAttr(shape_of(declared))},
-                result_types=[declared],
-                location=op.location,
-            )
-            op.parent.insert_before(op, bc)
-            op.set_operand(0, bc.result)
+        # The checker already gave the operand the declared shape.
+        _cast_operands_to(op, [0], scalar_of(op.attrs["type"].value))
     return False
 
 
@@ -347,14 +336,6 @@ _SCALARIZE = (
 )
 
 
-def _source_for_mapping(v: Value) -> Value:
-    """See through explicit broadcasts: index mapping subsumes them."""
-    op = v.defining_op
-    if op is not None and op.kind == "ekl.broadcast":
-        return op.operands[0]
-    return v
-
-
 def _subscript_mapped(
     block: Block, v: Value, shape: tuple[int, ...], loc
 ) -> Value:
@@ -363,7 +344,6 @@ def _subscript_mapped(
     Right-aligned broadcast mapping: equal extents use the index argument,
     extent-1 axes read element 0, missing leading axes are dropped.
     """
-    v = _source_for_mapping(v)
     vshape = shape_of(v.type)
     if not vshape:
         return v  # loop-invariant scalar, captured directly

@@ -50,7 +50,6 @@ from .types import (
 )
 
 CMP_PREDICATES = ("eq", "ne", "lt", "le", "gt", "ge")
-ARITH_KINDS = ("ekl.add", "ekl.sub", "ekl.mul", "ekl.div", "ekl.neg")
 
 
 # --- structural verifiers ---------------------------------------------------
@@ -237,7 +236,7 @@ def _subscript_slots(op: Operation) -> list[tuple[str, int]]:
     """Classify subscript slots syntactically: (kind, operand index).
 
     Kinds: 'index' (scalar index expression), ':' (identity), '...'
-    (ellipsis), '*' (extent).
+    (ellipsis).
     """
     slots = []
     for i, v in enumerate(op.operands[1:], start=1):
@@ -277,9 +276,6 @@ def subscript_rule(op: Operation, ctx: TypingContext) -> None:
     n_ellipsis = sum(1 for k, _ in slots if k == "...")
     if n_ellipsis > 1:
         raise ctx.contradict("at most one ellipsis is allowed in a subscript")
-    for k, _ in slots:
-        if k == "*":
-            raise ctx.contradict("extent '*' subscripts are not supported")
     rank = len(src.shape)
     fixed = len(slots) - n_ellipsis
     if n_ellipsis:
@@ -431,16 +427,6 @@ def cast_rule(op: Operation, ctx: TypingContext) -> None:
     ctx.deduce(op.result, equiv(target))
 
 
-def broadcast_op_rule(op: Operation, ctx: TypingContext) -> None:
-    shape = op.attrs["shape"].value
-    src = ctx.sample(op.operands[0])
-    if src is None:
-        return
-    if broadcast_shapes(shape_of(src), shape) != shape:
-        raise ctx.contradict(f"cannot broadcast {src} to shape {list(shape)}")
-    ctx.deduce(op.result, equiv(with_shape(scalar_of(src), shape)))
-
-
 # --- transmutation hooks ----------------------------------------------------
 
 
@@ -527,13 +513,6 @@ _sig(
 _sig("ekl.yield", min_operands=1, max_operands=1)
 _sig("ekl.output", min_operands=1, max_operands=1, verifier=_verify_output, typing_rule=output_rule)
 _sig("ekl.cast", min_operands=1, max_operands=1, num_results=1, typing_rule=cast_rule)
-_sig(
-    "ekl.broadcast",
-    min_operands=1,
-    max_operands=1,
-    num_results=1,
-    typing_rule=broadcast_op_rule,
-)
 
 
 # --- builder helpers --------------------------------------------------------

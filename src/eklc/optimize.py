@@ -486,16 +486,9 @@ def lower_rationals(module: Operation) -> list[Diagnostic]:
     return warnings
 
 
-def optimize(
-    module: Operation,
-    fast_math: bool = False,
-    lift: bool = True,
-    fuse: bool = True,
-) -> list[Diagnostic]:
+def optimize(module: Operation, fast_math: bool = False) -> list[Diagnostic]:
     """Full optimization pipeline; returns accumulated warnings."""
-    if lift:
-        lift_reductions(module, fast_math=fast_math)
+    lift_reductions(module, fast_math=fast_math)
     if_to_choice(module)
-    if fuse:
-        fuse_producers(module)
+    fuse_producers(module)
     return lower_rationals(module)

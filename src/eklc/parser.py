@@ -563,7 +563,7 @@ class Parser:
 
     def parse_subscript_slot(self) -> Value:
         tok = self.peek()
-        if tok.kind == "punct" and tok.text in (":", "*", "..."):
+        if tok.kind == "punct" and tok.text in (":", "..."):
             self.advance()
             return self.emit(pseudo_literal(tok.text, tok.loc))
         return self.parse_expr()
@@ -662,7 +662,7 @@ def _not_folded(block: Block, loc: Location) -> Diagnostic:
         why = f"value out of range for {op.result.type}"
     else:
         why = "value is not an exact constant"
-    return error(loc, f"{op.location}: {why}")
+    return error(op.location, why)
 
 
 def parse_source(

@@ -6,8 +6,8 @@ Stages, in order:
 - ``typed``: after deductive fix-point type checking.
 - ``simplified``: constants folded, algebraic identities applied, dead
   operations removed.
-- ``explicit``: implicit conversions turned into explicit casts and
-  broadcasts, ellipsis subscripts expanded.
+- ``explicit``: implicit conversions turned into explicit casts,
+  ellipsis subscripts expanded.
 - ``generators``: elementwise array operations rewritten to generator
   form with loop-invariant subtrees hoisted.
 - ``optimized``: reductions factored into staged sweeps, choices on
@@ -35,15 +35,16 @@ def _no_diagnostics(module: Operation) -> list[Diagnostic]:
 
 
 # Each stage after `ast`, in order, with the pass that produces it from the
-# stage before. A pass returns the diagnostics it reports. The lambdas look
-# each pass up by its name in this module when they run, so a wrapper set on
-# that name (as a tracer does) is the one called.
+# stage before. A pass takes the module and the fast-math setting and
+# returns the diagnostics it reports. The lambdas look each pass up by its
+# name in this module when they run, so a wrapper set on that name (as a
+# tracer does) is the one called.
 PASSES = (
-    ("typed", lambda module, options: type_check(module)[1]),
-    ("simplified", lambda module, options: _no_diagnostics(simplify(module))),
-    ("explicit", lambda module, options: _no_diagnostics(materialize_casts(module))),
-    ("generators", lambda module, options: _no_diagnostics(to_generator_form(module))),
-    ("optimized", lambda module, options: optimize(module, **options)),
+    ("typed", lambda module, fast_math: type_check(module)[1]),
+    ("simplified", lambda module, fast_math: _no_diagnostics(simplify(module))),
+    ("explicit", lambda module, fast_math: _no_diagnostics(materialize_casts(module))),
+    ("generators", lambda module, fast_math: _no_diagnostics(to_generator_form(module))),
+    ("optimized", lambda module, fast_math: optimize(module, fast_math)),
 )
 
 
@@ -64,7 +65,7 @@ def _compile(
     source: str,
     filename: str,
     stage: str,
-    options: dict[str, bool],
+    fast_math: bool,
     snapshots: dict[str, Operation] | None = None,
 ) -> CompileResult:
     """Parse, then run the passes in order up to and including `stage`.
@@ -80,7 +81,7 @@ def _compile(
     for name, run in PASSES[: STAGES.index(stage)]:
         if not result.ok:
             break
-        for d in run(module, options):
+        for d in run(module, fast_math):
             kept = result.warnings if d.severity == "warning" else result.diagnostics
             kept.append(d)
         if snapshots is not None and name != stage:
@@ -95,20 +96,15 @@ def compile_source(
     filename: str = "<input>",
     stage: str = "optimized",
     fast_math: bool = False,
-    lift: bool = True,
-    fuse: bool = True,
 ) -> CompileResult:
     """Compile EKL source up to and including the requested stage."""
-    options = dict(fast_math=fast_math, lift=lift, fuse=fuse)
-    return _compile(source, filename, stage, options)
+    return _compile(source, filename, stage, fast_math)
 
 
 def compile_all_stages(
     source: str,
     filename: str = "<input>",
     fast_math: bool = False,
-    lift: bool = True,
-    fuse: bool = True,
 ) -> tuple[dict[str, Operation], list[Diagnostic]]:
     """Compile once, snapshotting a deep copy of the module at each stage.
 
@@ -117,8 +113,7 @@ def compile_all_stages(
     types and cannot be evaluated.
     """
     stages: dict[str, Operation] = {}
-    options = dict(fast_math=fast_math, lift=lift, fuse=fuse)
-    result = _compile(source, filename, "optimized", options, stages)
+    result = _compile(source, filename, "optimized", fast_math, stages)
     if not result.ok:
         return {}, result.diagnostics
     stages["optimized"] = result.module

@@ -121,11 +121,10 @@ class Interval:
 class ContradictionError(Exception):
     """A typing rule could not be satisfied; carries the explanation."""
 
-    def __init__(self, message: str, location: Location | None = None, notes=()):
+    def __init__(self, message: str, location: Location | None = None):
         super().__init__(message)
         self.message = message
         self.location = location
-        self.notes = list(notes)
 
 
 def meet_into(interval: Interval, bound: TypeBound) -> bool:
@@ -211,8 +210,8 @@ class TypingContext:
     def deduce(self, v: Value, bound: TypeBound) -> None:
         self.deductions.append((v, bound))
 
-    def contradict(self, message: str, notes=()) -> ContradictionError:
-        return ContradictionError(message, self.op.location, notes)
+    def contradict(self, message: str) -> ContradictionError:
+        return ContradictionError(message, self.op.location)
 
 
 def _walk_post_order(op: Operation, out: list[Operation]) -> None:
@@ -335,10 +334,7 @@ class FixPointTypeChecker:
         op = self._by_pos[pos]
         for res in op.results:
             self._poisoned.add(res)
-        diag = error(exc.location or op.location, exc.message)
-        for note in exc.notes:
-            diag.notes.append(error(op.location, note))
-        self.diagnostics.append(diag)
+        self.diagnostics.append(error(exc.location or op.location, exc.message))
 
     # --- materialization ---------------------------------------------------
 

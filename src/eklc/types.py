@@ -83,17 +83,17 @@ class ExpressionType(Type):
 
 @dataclass(frozen=True)
 class PseudoType(Type):
-    """Literal pseudo-type of a subscript slot: identity ':', extent '*',
-    ellipsis '...'."""
+    """Literal pseudo-type of a subscript slot: identity ':' or ellipsis
+    '...'."""
 
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in (":", "*", "..."):
+        if self.kind not in (":", "..."):
             raise ValueError(f"unknown pseudo type {self.kind!r}")
 
     def __str__(self) -> str:
-        names = {":": "identity", "*": "extent", "...": "ellipsis"}
+        names = {":": "identity", "...": "ellipsis"}
         return f"pseudo_{names[self.kind]}"
 
 
@@ -123,7 +123,6 @@ F64 = FloatType(64)
 RATIONAL = RationalType()
 EXPR = ExpressionType()
 IDENTITY = PseudoType(":")
-EXTENT = PseudoType("*")
 ELLIPSIS = PseudoType("...")
 
 # Largest integer n such that all integers in [0, n] are exact in the float.
@@ -339,41 +338,3 @@ def rational_fits_exactly(value: Fraction, t: Type) -> bool:
         return struct.unpack("f", struct.pack("f", f))[0] == f
     return False
 
-
-# --- textual syntax ---------------------------------------------------------
-
-_SCALAR_NAMES = {
-    "bool": BOOL,
-    "si8": SI8,
-    "si16": SI16,
-    "si32": SI32,
-    "si64": SI64,
-    "f32": F32,
-    "f64": F64,
-    "rational": RATIONAL,
-    "expr": EXPR,
-    "pseudo_identity": IDENTITY,
-    "pseudo_extent": EXTENT,
-    "pseudo_ellipsis": ELLIPSIS,
-}
-
-
-def type_to_text(t: Type) -> str:
-    return str(t)
-
-
-def type_from_text(text: str) -> Type:
-    """Parse the textual type syntax, e.g. `f32`, `index<60>`, `array<f32[2,3]>`."""
-    text = text.strip()
-    if text in _SCALAR_NAMES:
-        return _SCALAR_NAMES[text]
-    if text.startswith("index<") and text.endswith(">"):
-        return IndexType(int(text[6:-1]))
-    if text.startswith("array<") and text.endswith("]>"):
-        inner = text[6:-1]
-        lb = inner.index("[")
-        scalar = type_from_text(inner[:lb])
-        dims = inner[lb + 1 : -1].strip()
-        shape = tuple(int(d) for d in dims.split(",")) if dims else ()
-        return ArrayType(scalar, shape)
-    raise ValueError(f"unknown type syntax: {text!r}")

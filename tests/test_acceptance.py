@@ -202,7 +202,7 @@ def test_acceptance_4_reduction_lifting(capsys):
         for p in (3, 5, 7):
             n = p + 1
             src = _sumfact_source(n)
-            naive = compile_source(src, "sf.ekl", stage="optimized", lift=False, fuse=False)
+            naive = compile_source(src, "sf.ekl", stage="generators")
             lifted = compile_source(src, "sf.ekl", stage="optimized")
             assert naive.ok and lifted.ok
             kernel = kernels_of(naive.module)[0]

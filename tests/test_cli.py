@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT
+from eklc import pipeline
 from eklc.cli import main
 from eklc.tensor_io import TensorValue, read_tensor, write_tensor
 from eklc.types import F64, RATIONAL
@@ -134,19 +135,6 @@ def test_run_dtype_mismatch_is_reported(good, tmp_path, capsys):
     assert "dtype-mismatch" in capsys.readouterr().err
 
 
-def test_no_lift_does_not_change_results(tmp_path):
-    src = tmp_path / "sf.ekl"
-    src.write_text(SUMFACT)
-    a = tmp_path / "a.eklt"
-    b = tmp_path / "b.eklt"
-    assert main(["run", str(src), "--out", f"t={a}", "--seed", "3"]) == 0
-    assert (
-        main(["run", str(src), "--no-lift", "--out", f"t={b}", "--seed", "3"])
-        == 0
-    )
-    assert (read_tensor(a).data == read_tensor(b).data).all()
-
-
 def test_stats_reports_lifting_ratio(tmp_path, capsys):
     src = tmp_path / "sf.ekl"
     src.write_text(SUMFACT)
@@ -165,13 +153,41 @@ def test_stats_reports_lifting_ratio(tmp_path, capsys):
     }
 
 
-def test_stats_honours_no_lift(tmp_path, capsys):
+def test_stats_compiles_the_source_once(tmp_path, monkeypatch):
     src = tmp_path / "sf.ekl"
     src.write_text(SUMFACT)
-    assert main(["stats", str(src), "--no-lift", "--json"]) == 0
-    entry = json.loads(capsys.readouterr().out)["kernels"][0]
-    assert entry["lifted"]["multiplies"] == entry["naive"]["multiplies"]
-    assert entry["multiply_ratio"] == 1.0
+    calls = []
+    parse_source = pipeline.parse_source
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parse_source(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "parse_source", counted)
+    assert main(["stats", str(src), "--json"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["dump", "run", "stats"])
+@pytest.mark.parametrize("flag", ["--no-lift", "--no-fuse"])
+def test_optimization_switches_are_unknown_arguments(good, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, good, flag])
+    assert exc.value.code == 2
+
+
+def test_notes_in_constant_extents_are_located(tmp_path, capsys):
+    src = tmp_path / "ext.ekl"
+    src.write_text(
+        "kernel k(in a: f64[(2, 3)[_5]], in b: f64[2 / 0], out y: f64) "
+        "{ let y = a[0]; }\n"
+    )
+    assert main(["check", str(src)]) == 1
+    notes = [line for line in capsys.readouterr().err.splitlines() if "note:" in line]
+    assert notes == [
+        f"  note: {src}:1:26: lower bound index<6> exceeds upper bound index<2>",
+        f"  note: {src}:1:45: division by zero",
+    ]
 
 
 def test_rational_division_by_zero_is_reported(tmp_path, capsys):

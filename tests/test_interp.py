@@ -239,7 +239,7 @@ def _sumfact(n, scalar):
 
 
 def test_a_float_reduction_folds_one_slab_at_a_time(monkeypatch):
-    kernel = kernels_of(_module(_sumfact(12, "f64"), "optimized", lift=False))[0]
+    kernel = kernels_of(_module(_sumfact(12, "f64"), "optimized"))[0]
     inputs = random_inputs(kernel, np.random.default_rng(0))
     tracemalloc.start()
     try:
@@ -252,7 +252,7 @@ def test_a_float_reduction_folds_one_slab_at_a_time(monkeypatch):
     assert counters.multiplies == 3 * 12**6
 
     small = _sumfact(4, "f64")
-    kernel = kernels_of(_module(small, "optimized", lift=False))[0]
+    kernel = kernels_of(_module(small, "optimized"))[0]
     inputs = random_inputs(kernel, np.random.default_rng(1))
     want = eval_ast_oracle(kernels_of(_module(small, "typed"))[0], inputs)
     # The n=4 grid fits one slab; a one-element budget folds it row by row.

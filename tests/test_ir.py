@@ -20,7 +20,7 @@ from eklc.ir import (
     verify,
     walk_lexical,
 )
-from eklc.ir_text import parse_ir
+from eklc.ir_text import IrSyntaxError, parse_ir
 from eklc.ops import number_literal
 from eklc.types import EXPR, F64
 
@@ -109,6 +109,7 @@ def test_documented_op_kinds_match_the_registry():
 
 # Op kinds the dialect does not register, each as one op of a kernel body.
 UNREGISTERED = {
+    "ekl.broadcast": "%2 = ekl.broadcast(%0) {shape = []} : f64",
     "ekl.if": "%2 = ekl.if(%1, %0, %0) : f64",
     "ekl.zip": "%2 = ekl.zip(%0) (\n{\n^(%3: f64):\n  ekl.yield(%3)\n}\n) : f64",
 }
@@ -126,3 +127,8 @@ def test_unregistered_kinds_are_diagnosed(kind):
     )
     diags = verify(parse_ir(text))
     assert [d.message for d in diags] == [f"unregistered op kind '{kind}'"]
+
+
+def test_dense_attributes_are_not_ir_syntax():
+    with pytest.raises(IrSyntaxError, match="unknown type 'dense'"):
+        parse_ir('%0 = ekl.literal {type = f64, value = dense<f64, [1]>} : f64')

@@ -23,8 +23,8 @@ kernel sumfact(
 """
 
 
-def _compiled(src, **kw):
-    result = compile_source(src, "t.ekl", stage="optimized", **kw)
+def _compiled(src, stage="optimized", **kw):
+    result = compile_source(src, "t.ekl", stage=stage, **kw)
     assert result.ok, [str(d) for d in result.diagnostics]
     return result.module
 
@@ -34,7 +34,7 @@ def _kinds(module):
 
 
 def test_reduction_lifting_factors_the_triple_sum():
-    naive = _compiled(SUMFACT, lift=False, fuse=False)
+    naive = _compiled(SUMFACT, stage="generators")
     lifted = _compiled(SUMFACT)
     inputs = random_inputs(
         kernels_of(naive)[0], np.random.default_rng(11)
@@ -72,7 +72,7 @@ def test_single_use_producers_are_fused():
         "{ let a[i] = x[i] * 2; let y[i] = a[i] + 1; }"
     )
     fused = _compiled(src)
-    unfused = _compiled(src, fuse=False)
+    unfused = _compiled(src, stage="generators")
     assert _kinds(fused).count("ekl.assoc") < _kinds(unfused).count("ekl.assoc")
     inputs = random_inputs(kernels_of(fused)[0], np.random.default_rng(5))
     out_f, _ = eval_module(fused, inputs)

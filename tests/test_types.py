@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from eklc.ir import Operation, TypeAttr
+from eklc.ir_text import parse_ir, print_ir
 from eklc.types import (
     BOOL,
     EXPR,
@@ -23,8 +25,6 @@ from eklc.types import (
     is_subtype,
     promote,
     rational_fits_exactly,
-    type_from_text,
-    type_to_text,
 )
 
 
@@ -129,4 +129,6 @@ def test_type_text_round_trip():
         ArrayType(F32, (2, 3)),
         ArrayType(IndexType(5), (4,)),
     ):
-        assert type_from_text(type_to_text(t)) == t
+        op = Operation("ekl.cast", attrs={"type": TypeAttr(t)}, result_types=[t])
+        parsed = parse_ir(print_ir(op))
+        assert parsed.attrs["type"].value == t and parsed.results[0].type == t
