@@ -90,6 +90,8 @@ class Value:
 class Block:
     """Single basic block: typed arguments followed by an op list."""
 
+    __slots__ = ("args", "ops", "parent")
+
     def __init__(self, arg_types: list[Type] | None = None) -> None:
         self.args: list[Value] = []
         self.ops: list[Operation] = []
@@ -116,6 +118,8 @@ class Block:
 class Region:
     """Region with exactly one block (EKL functors never branch)."""
 
+    __slots__ = ("block", "parent")
+
     def __init__(self, block: Block | None = None) -> None:
         self.block = block or Block()
         self.block.parent = self
@@ -124,6 +128,8 @@ class Region:
 
 class Operation:
     """Generic IR node with a kind, operands, attributes, and regions."""
+
+    __slots__ = ("kind", "operands", "attrs", "regions", "results", "location", "parent")
 
     def __init__(
         self,
@@ -135,18 +141,18 @@ class Operation:
         location: Location = UNKNOWN_LOC,
     ) -> None:
         self.kind = kind
-        self.operands: list[Value] = []
-        self.attrs: dict[str, Attribute] = dict(attrs or {})
-        self.regions: list[Region] = []
-        self.results: list[Value] = []
+        self.attrs: dict[str, Attribute] = dict(attrs) if attrs else {}
         self.location = location
         self.parent: Block | None = None
-        for v in operands or []:
-            self.add_operand(v)
-        for r in regions or []:
-            self.add_region(r)
-        for t in result_types or []:
-            self.add_result(t)
+        self.operands: list[Value] = list(operands) if operands else []
+        for idx, v in enumerate(self.operands):
+            v.uses.append((self, idx))
+        self.regions: list[Region] = list(regions) if regions else []
+        for r in self.regions:
+            r.parent = self
+        self.results: list[Value] = (
+            [Value(t, self, i) for i, t in enumerate(result_types)] if result_types else []
+        )
 
     def add_operand(self, v: Value) -> None:
         idx = len(self.operands)
@@ -187,6 +193,15 @@ class Operation:
         for idx, v in enumerate(self.operands):
             v.uses.remove((self, idx))
         self.operands = []
+
+    def __deepcopy__(self, memo: dict) -> "Operation":
+        """Copy the op tree as `clone_op` does: the copy has no parent, and
+        values defined outside the tree are shared, not copied."""
+        mapping: dict[Value, Value] = {}
+        clone = clone_op(self, mapping)
+        for old, new in mapping.items():
+            memo[id(old)] = new
+        return clone
 
     def __repr__(self) -> str:
         return f"<op {self.kind}>"
@@ -235,11 +250,20 @@ REGISTRY = OpRegistry()
 
 
 def walk_lexical(op: Operation) -> Iterator[Operation]:
-    """Deterministic pre-order walk: an op precedes its regions' contents."""
-    yield op
-    for region in op.regions:
-        for nested in region.block.ops:
-            yield from walk_lexical(nested)
+    """Deterministic pre-order walk: an op precedes its regions' contents.
+
+    The walk keeps its own stack of pending ops, so a yield costs the same
+    at any nesting depth. A region's ops are read when the walk yields the
+    op holding it; no caller adds or removes ops while it walks."""
+    stack = [op]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        op = pop()
+        yield op
+        regions = op.regions
+        if regions:
+            for region in reversed(regions):
+                push(reversed(region.block.ops))
 
 
 def _verify_block(block: Block, visible: set[Value], diags: list[Diagnostic]) -> None:

@@ -182,6 +182,14 @@ def _tokenize(text: str, filename: str) -> list[_Token]:
     return tokens
 
 
+def _checked(tok: _Token, make, *fields):
+    """Build a type or attribute, reporting a field it rejects at `tok`."""
+    try:
+        return make(*fields)
+    except ValueError as exc:
+        raise IrSyntaxError(tok.loc, str(exc)) from None
+
+
 class _IrParser:
     def __init__(self, text: str, filename: str) -> None:
         self.tokens = _tokenize(text, filename)
@@ -214,7 +222,7 @@ class _IrParser:
             self.expect("<")
             bound = int(self.expect_int())
             self.expect(">")
-            return IndexType(bound)
+            return _checked(tok, IndexType, bound)
         if name == "array":
             self.expect("<")
             scalar = self.parse_type()
@@ -226,7 +234,7 @@ class _IrParser:
                     self.next()
             self.expect("]")
             self.expect(">")
-            return ArrayType(scalar, tuple(shape))
+            return _checked(tok, ArrayType, scalar, tuple(shape))
         if name in _SCALAR_NAMES:
             return _SCALAR_NAMES[name]
         raise IrSyntaxError(tok.loc, f"unknown type {name!r}")
@@ -250,6 +258,8 @@ class _IrParser:
             if self.peek().text == "/":
                 self.next()
                 den = self.expect_int()
+                if den == 0:
+                    raise IrSyntaxError(tok.loc, f"zero denominator in {value}/{den}")
                 return RationalAttr(Fraction(value, den))
             return IntAttr(value)
         if tok.text == "[":
@@ -260,7 +270,7 @@ class _IrParser:
                 if self.peek().text == ",":
                     self.next()
             self.expect("]")
-            return ShapeAttr(tuple(extents))
+            return _checked(tok, ShapeAttr, tuple(extents))
         if tok.kind == "ident":
             return TypeAttr(self.parse_type())
         raise IrSyntaxError(tok.loc, f"expected an attribute, found {tok.text!r}")

@@ -76,7 +76,7 @@ class Parser:
             self.tokens = tokenize(source, filename)
         except LexError as exc:
             self.diagnostics.append(exc.diagnostic)
-            self.tokens = [Token("eof", "", Location(filename, 1, 1))]
+            self.tokens = tokenize("", filename)
         self.pos = 0
         self.block: Block | None = None  # current insertion point
         self.scopes: list[dict[str, Value]] = []

@@ -2,17 +2,28 @@
 
 Values accumulate type bounds (unattainable > equivalent > lower > upper,
 most to least restrictive). Typing rules registered on op kinds observe the
-current bounds and add constraints; the checker meets bounds, re-enqueues
-users of refined values, and on success atomically materializes the
-deduced types via in-place transmutation.
+current bounds and add constraints; the checker meets bounds, re-runs the
+rules that read a refined value, and on success atomically materializes
+the deduced types via in-place transmutation.
+
+Every op with a rule runs once from the seed. After that an op runs again
+only when a value it read at its last run has tightened: its
+`TypingContext` records each value the rule reads through `interval` or
+`sample`, and a tightened value re-enqueues exactly those readers. The op
+that only wrote a value is not re-run for it, so a rule that reads nothing
+it deduces (a literal, an output, an `if` condition) runs once. This is
+how MLIR's `DataFlowSolver` tracks the dependencies of a program point.
+It needs one invariant: a rule reads bounds only through its context,
+never through the checker's state or a value's interval directly; what
+else it looks at (attributes, the ops defining its operands, a value's
+declared type) must not change while the checker runs.
 
 The worklist is ordered by post-order position: an op runs after every op
 in its regions and after the ops before it in its block. A generator such
-as `ekl.assoc` is re-enqueued by every refinement inside its body; in
-lexical pre-order it would sort ahead of the rest of that body and run
-once per refinement, while in post-order it waits until the body has
-settled (Cooper, Harvey and Kennedy, "Iterative Data-Flow Analysis,
-Revisited", 2004).
+as `ekl.assoc` reads values inside its body; in lexical pre-order it would
+sort ahead of the rest of that body and run once per refinement, while in
+post-order it waits until the body has settled (Cooper, Harvey and
+Kennedy, "Iterative Data-Flow Analysis, Revisited", 2004).
 """
 
 from __future__ import annotations
@@ -57,19 +68,38 @@ class TypeBound:
         return f"{name[self.kind]}({self.sample})"
 
 
+# One bound per kind and type: types are unique, so a type is its own key.
+_UPPER: dict[Type, TypeBound] = {}
+_LOWER: dict[Type, TypeBound] = {}
+_EQUIV: dict[Type, TypeBound] = {}
+
+
 def upper(t: Type) -> TypeBound:
-    return TypeBound(BoundKind.UPPER, t)
+    b = _UPPER.get(t)
+    if b is None:
+        b = _UPPER[t] = TypeBound(BoundKind.UPPER, t)
+    return b
 
 
 def lower(t: Type) -> TypeBound:
-    return TypeBound(BoundKind.LOWER, t)
+    b = _LOWER.get(t)
+    if b is None:
+        b = _LOWER[t] = TypeBound(BoundKind.LOWER, t)
+    return b
 
 
 def equiv(t: Type) -> TypeBound:
-    return TypeBound(BoundKind.EQUIVALENT, t)
+    b = _EQUIV.get(t)
+    if b is None:
+        b = _EQUIV[t] = TypeBound(BoundKind.EQUIVALENT, t)
+    return b
 
 
 UNATTAINABLE = TypeBound(BoundKind.UNATTAINABLE)
+
+
+# (t, u) -> _fits(t, u), memoized on the pair of unique types.
+_FITS: dict[tuple[Type, Type], bool] = {}
 
 
 def _fits(t: Type, u: Type) -> bool:
@@ -78,6 +108,14 @@ def _fits(t: Type, u: Type) -> bool:
     A compile-time rational (or rational-element array) fits any numeric
     machine type of the same shape; exactness is enforced at lowering.
     """
+    key = (t, u)
+    r = _FITS.get(key)
+    if r is None:
+        r = _FITS[key] = _fits_uncached(t, u)
+    return r
+
+
+def _fits_uncached(t: Type, u: Type) -> bool:
     if is_subtype(t, u):
         return True
     if isinstance(scalar_of(t), RationalType) and shape_of(t) == shape_of(u):
@@ -85,7 +123,7 @@ def _fits(t: Type, u: Type) -> bool:
     return False
 
 
-@dataclass
+@dataclass(slots=True)
 class Interval:
     """Strictest recorded constraint: at most one lower and one upper sample.
 
@@ -96,7 +134,7 @@ class Interval:
     hi: Type | None = None
 
     def is_equivalent(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
+        return self.lo is not None and self.lo is self.hi
 
     def as_bounds(self) -> list[TypeBound]:
         if self.is_equivalent():
@@ -141,27 +179,27 @@ def meet_into(interval: Interval, bound: TypeBound) -> bool:
     changed = False
     if bound.kind in (BoundKind.EQUIVALENT, BoundKind.LOWER):
         # Keep the larger of two lower samples.
-        if interval.lo is None or (interval.lo != t and _fits(interval.lo, t)):
+        if interval.lo is None or (interval.lo is not t and _fits(interval.lo, t)):
             if interval.hi is not None and not _fits(t, interval.hi):
                 raise ContradictionError(
                     f"lower bound {t} exceeds upper bound {interval.hi}"
                 )
             interval.lo = t
             changed = True
-        elif interval.lo != t and not _fits(t, interval.lo):
+        elif interval.lo is not t and not _fits(t, interval.lo):
             raise ContradictionError(
                 f"incompatible bounds {lower(t)} and {lower(interval.lo)}"
             )
     if bound.kind in (BoundKind.EQUIVALENT, BoundKind.UPPER):
         # Keep the smaller of two upper samples.
-        if interval.hi is None or (interval.hi != t and _fits(t, interval.hi)):
+        if interval.hi is None or (interval.hi is not t and _fits(t, interval.hi)):
             if interval.lo is not None and not _fits(interval.lo, t):
                 raise ContradictionError(
                     f"lower bound {interval.lo} exceeds upper bound {t}"
                 )
             interval.hi = t
             changed = True
-        elif interval.hi != t and not _fits(interval.hi, t):
+        elif interval.hi is not t and not _fits(interval.hi, t):
             raise ContradictionError(
                 f"incomparable upper bounds {t} and {interval.hi}"
             )
@@ -189,21 +227,29 @@ class TypingContext:
     """What a typing rule may observe and deduce.
 
     Rules are pure observations plus constraint additions; they never
-    mutate the IR.
+    mutate the IR. A rule reads bounds only through `interval` and
+    `sample`: each records the value it reads, so that the checker re-runs
+    the rule when that value tightens (see the module docstring).
     """
+
+    __slots__ = ("checker", "op", "deductions", "reads")
 
     def __init__(self, checker: "FixPointTypeChecker", op: Operation) -> None:
         self.checker = checker
         self.op = op
         self.deductions: list[tuple[Value, TypeBound]] = []
+        self.reads: list[Value] = []
 
     def interval(self, v: Value) -> Interval:
+        self.reads.append(v)
         return self.checker.state.interval(v)
 
     def sample(self, v: Value) -> Type | None:
         """Best current guess for a value's type, or None if unconstrained."""
-        s = self.interval(v).sample()
-        if s is None and v.type != EXPR:
+        self.reads.append(v)
+        iv = self.checker.state.bounds.get(v)
+        s = None if iv is None else iv.sample()
+        if s is None and v.type is not EXPR:
             return v.type
         return s
 
@@ -224,7 +270,8 @@ def _walk_post_order(op: Operation, out: list[Operation]) -> None:
 
 class FixPointTypeChecker:
     """Applies typing rules until a fix-point or contradictions are reached,
-    popping ops in post-order (see the module docstring)."""
+    popping ops in post-order and re-running only the readers of a refined
+    value (see the module docstring)."""
 
     def __init__(self, module: Operation, iteration_ceiling: int | None = None):
         self.module = module
@@ -233,7 +280,6 @@ class FixPointTypeChecker:
         self._ops = ops
         self._by_pos: list[Operation] = []
         _walk_post_order(module, self._by_pos)
-        self._pos = {id(op): i for i, op in enumerate(self._by_pos)}
         self._rules = []
         for op in self._by_pos:
             sig = REGISTRY.lookup(op.kind)
@@ -242,6 +288,11 @@ class FixPointTypeChecker:
         self._queued: set[int] = set()
         self._failed: set[int] = set()
         self._poisoned: set[Value] = set()
+        # The iteration of each op's last run, and for each value the
+        # (position, iteration) of the runs that read it since it last
+        # tightened; a pair whose iteration is not its op's last run is stale.
+        self._last_run = [0] * len(self._by_pos)
+        self._readers: dict[Value, list[tuple[int, int]]] = {}
         self.diagnostics: list[Diagnostic] = []
         # Bounds are monotone over a finite lattice: each value's interval
         # can tighten only a few times, so N ops admit a linear ceiling.
@@ -251,14 +302,8 @@ class FixPointTypeChecker:
             else 32 * max(len(ops), 1) + 64
         )
 
-    def enqueue(self, op: Operation) -> None:
-        pos = self._pos.get(id(op))
-        if (
-            pos is None
-            or pos in self._queued
-            or pos in self._failed
-            or self._rules[pos] is None
-        ):
+    def _push(self, pos: int) -> None:
+        if pos in self._queued or pos in self._failed or self._rules[pos] is None:
             return
         self._queued.add(pos)
         heapq.heappush(self._queue, pos)
@@ -268,29 +313,24 @@ class FixPointTypeChecker:
             # Pre-typed values (e.g. declared kernel arguments) seed the state.
             for region in op.regions:
                 for arg in region.block.args:
-                    if arg.type != EXPR:
+                    if arg.type is not EXPR:
                         self.state.interval(arg).lo = arg.type
                         self.state.interval(arg).hi = arg.type
             for res in op.results:
-                if res.type != EXPR:
+                if res.type is not EXPR:
                     self.state.interval(res).lo = res.type
                     self.state.interval(res).hi = res.type
-            self.enqueue(op)
+        for pos in range(len(self._by_pos)):
+            self._push(pos)
 
     def _invalidate(self, v: Value) -> None:
-        for user, _ in v.uses:
-            self.enqueue(user)
-            # A yield cannot own its parent's result: propagate upward.
-            if user.kind.endswith("yield"):
-                parent = user.parent_op
-                if parent is not None:
-                    self.enqueue(parent)
-        if v.is_block_arg:
-            block = v.owner
-            if block.parent and block.parent.parent:
-                self.enqueue(block.parent.parent)
-        elif v.defining_op is not None:
-            self.enqueue(v.defining_op)
+        """Re-enqueue every op that read `v` at its last run."""
+        readers = self._readers.pop(v, None)
+        if readers:
+            last_run = self._last_run
+            for pos, run in readers:
+                if last_run[pos] == run:
+                    self._push(pos)
 
     def run(self) -> bool:
         """Iterate to fix-point. Returns True when no contradictions arose;
@@ -298,6 +338,7 @@ class FixPointTypeChecker:
         self.seed()
         queue, queued, failed = self._queue, self._queued, self._failed
         poisoned, state = self._poisoned, self.state
+        readers, last_run = self._readers, self._last_run
         while queue:
             if state.iterations >= self.iteration_ceiling:
                 self.diagnostics.append(
@@ -317,9 +358,12 @@ class FixPointTypeChecker:
             op = self._by_pos[pos]
             if poisoned and any(v in poisoned for v in op.operands):
                 continue  # suppress contradictions dependent on earlier ones
+            run = last_run[pos] = state.iterations
             ctx = TypingContext(self, op)
             try:
                 self._rules[pos](op, ctx)
+                for v in ctx.reads:
+                    readers.setdefault(v, []).append((pos, run))
                 for v, bound in ctx.deductions:
                     if v in poisoned:
                         continue
@@ -353,7 +397,7 @@ class FixPointTypeChecker:
                 iv = self.state.bounds.get(v)
                 t = iv.sample() if iv else None
                 if t is None:
-                    if v.type == EXPR and v.uses:
+                    if v.type is EXPR and v.uses:
                         diags.append(
                             error(
                                 op.location,
@@ -362,7 +406,7 @@ class FixPointTypeChecker:
                             )
                         )
                     continue
-                if t == v.type:
+                if t is v.type:
                     continue
                 rejection = transmute_value(v, t)
                 if rejection is not None:

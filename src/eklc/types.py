@@ -4,113 +4,163 @@ Scalar machine types (bool, signed ints, floats), statically bounded index
 types, compile-time exact rationals, shaped arrays, and the universal
 expression type. Subtyping between numeric types follows value-set
 inclusion: t <: u iff every value of t is exactly representable in u.
+
+Types are uniqued, as in an MLIR context: constructing a type with the
+same class and fields returns the one existing instance, so two equal
+types are the same object, and `==` and `hash` are by identity. A type is
+validated once, when it is first built, and its text is built once with
+it. Copying or pickling a type gives back the same instance. Because
+types are unique, `is_subtype` and `promote` are memoized on the pair of
+operands. The table of instances lives as long as the process; a program
+names few distinct types.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
+
+# (class, *fields) -> the one instance with those fields.
+_UNIQUE: dict[tuple, "Type"] = {}
 
 
 class Type:
-    """Base class for all EKL type descriptors."""
+    """Base class for all EKL type descriptors: immutable and uniqued."""
 
+    __slots__ = ("_text",)
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a uniqued type")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __deepcopy__(self, memo) -> "Type":
+        return self
+
+    def __str__(self) -> str:
+        return self._text
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+def _intern(cls: type, values: tuple, text: str) -> Type:
+    """Record the first, already validated, instance of `cls` with the
+    field `values`."""
+    t = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(t, name, value)
+    object.__setattr__(t, "_text", text)
+    _UNIQUE[(cls, *values)] = t
+    return t
+
+
+class BoolType(Type):
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class BoolType(Type):
-    def __str__(self) -> str:
-        return "bool"
+    def __new__(cls) -> "BoolType":
+        return _UNIQUE.get((cls,)) or _intern(cls, (), "bool")
 
 
-@dataclass(frozen=True)
 class IntType(Type):
     """Signed two's-complement integer of the given bit width."""
 
-    width: int
+    __slots__ = ("width",)
+    _fields = ("width",)
 
-    def __post_init__(self) -> None:
-        if self.width not in (8, 16, 32, 64):
-            raise ValueError(f"unsupported integer width {self.width}")
+    def __new__(cls, width: int) -> "IntType":
+        t = _UNIQUE.get((cls, width))
+        if t is None:
+            if width not in (8, 16, 32, 64):
+                raise ValueError(f"unsupported integer width {width}")
+            t = _intern(cls, (width,), f"si{width}")
+        return t
 
-    def __str__(self) -> str:
-        return f"si{self.width}"
 
-
-@dataclass(frozen=True)
 class FloatType(Type):
-    width: int
+    __slots__ = ("width",)
+    _fields = ("width",)
 
-    def __post_init__(self) -> None:
-        if self.width not in (32, 64):
-            raise ValueError(f"unsupported float width {self.width}")
+    def __new__(cls, width: int) -> "FloatType":
+        t = _UNIQUE.get((cls, width))
+        if t is None:
+            if width not in (32, 64):
+                raise ValueError(f"unsupported float width {width}")
+            t = _intern(cls, (width,), f"f{width}")
+        return t
 
-    def __str__(self) -> str:
-        return f"f{self.width}"
 
-
-@dataclass(frozen=True)
 class IndexType(Type):
     """Non-negative integer statically less than `bound` (exclusive)."""
 
-    bound: int
+    __slots__ = ("bound",)
+    _fields = ("bound",)
 
-    def __post_init__(self) -> None:
-        if self.bound < 1:
-            raise ValueError("index bound must be positive")
+    def __new__(cls, bound: int) -> "IndexType":
+        t = _UNIQUE.get((cls, bound))
+        if t is None:
+            if bound < 1:
+                raise ValueError("index bound must be positive")
+            t = _intern(cls, (bound,), f"index<{bound}>")
+        return t
 
-    def __str__(self) -> str:
-        return f"index<{self.bound}>"
 
-
-@dataclass(frozen=True)
 class RationalType(Type):
     """Arbitrary-precision rational; the type of number literals."""
 
-    def __str__(self) -> str:
-        return "rational"
+    __slots__ = ()
+
+    def __new__(cls) -> "RationalType":
+        return _UNIQUE.get((cls,)) or _intern(cls, (), "rational")
 
 
-@dataclass(frozen=True)
 class ExpressionType(Type):
     """Universal top type carried by every value in syntactical form."""
 
-    def __str__(self) -> str:
-        return "expr"
+    __slots__ = ()
+
+    def __new__(cls) -> "ExpressionType":
+        return _UNIQUE.get((cls,)) or _intern(cls, (), "expr")
 
 
-@dataclass(frozen=True)
+_PSEUDO_NAMES = {":": "identity", "...": "ellipsis"}
+
+
 class PseudoType(Type):
     """Literal pseudo-type of a subscript slot: identity ':' or ellipsis
     '...'."""
 
-    kind: str
+    __slots__ = ("kind",)
+    _fields = ("kind",)
 
-    def __post_init__(self) -> None:
-        if self.kind not in (":", "..."):
-            raise ValueError(f"unknown pseudo type {self.kind!r}")
+    def __new__(cls, kind: str) -> "PseudoType":
+        t = _UNIQUE.get((cls, kind))
+        if t is None:
+            if kind not in _PSEUDO_NAMES:
+                raise ValueError(f"unknown pseudo type {kind!r}")
+            t = _intern(cls, (kind,), f"pseudo_{_PSEUDO_NAMES[kind]}")
+        return t
 
-    def __str__(self) -> str:
-        names = {":": "identity", "...": "ellipsis"}
-        return f"pseudo_{names[self.kind]}"
 
-
-@dataclass(frozen=True)
 class ArrayType(Type):
-    scalar: Type
-    shape: tuple[int, ...]
+    __slots__ = ("scalar", "shape")
+    _fields = ("scalar", "shape")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.scalar, (ArrayType, ExpressionType, PseudoType)):
-            raise ValueError("array scalar must be a scalar type")
-        if any(e < 0 for e in self.shape):
-            raise ValueError("array extents must be non-negative")
-
-    def __str__(self) -> str:
-        dims = ",".join(str(e) for e in self.shape)
-        return f"array<{self.scalar}[{dims}]>"
+    def __new__(cls, scalar: Type, shape: tuple[int, ...]) -> "ArrayType":
+        if type(shape) is not tuple:
+            shape = tuple(shape)
+        t = _UNIQUE.get((cls, scalar, shape))
+        if t is None:
+            if isinstance(scalar, (ArrayType, ExpressionType, PseudoType)):
+                raise ValueError("array scalar must be a scalar type")
+            if any(e < 0 for e in shape):
+                raise ValueError("array extents must be non-negative")
+            dims = ",".join(str(e) for e in shape)
+            t = _intern(cls, (scalar, shape), f"array<{scalar}[{dims}]>")
+        return t
 
 
 BOOL = BoolType()
@@ -171,7 +221,7 @@ def is_arithmetic_type(t: Type) -> bool:
 
 
 def _scalar_subtype(t: Type, u: Type) -> bool:
-    if t == u:
+    if t is u:
         return True
     if isinstance(t, BoolType):
         # Bool values {0, 1} embed exactly in every int and float.
@@ -195,9 +245,23 @@ def _scalar_subtype(t: Type, u: Type) -> bool:
     return False
 
 
+# (t, u) -> is_subtype(t, u) and promote(t, u); types are unique, so a
+# pair is its own key.
+_SUBTYPE: dict[tuple[Type, Type], bool] = {}
+_PROMOTE: dict[tuple[Type, Type], "Type | None"] = {}
+
+
 def is_subtype(t: Type, u: Type) -> bool:
     """Value-set inclusion ordering; every type is a subtype of `expr`."""
-    if t == u or isinstance(u, ExpressionType):
+    key = (t, u)
+    r = _SUBTYPE.get(key)
+    if r is None:
+        r = _SUBTYPE[key] = _subtype(t, u)
+    return r
+
+
+def _subtype(t: Type, u: Type) -> bool:
+    if t is u or isinstance(u, ExpressionType):
         return True
     if isinstance(t, ExpressionType):
         return False
@@ -228,7 +292,16 @@ def promote(t: Type, u: Type) -> Type | None:
     Rational is the adaptive literal type: it promotes into the other
     operand's type, with exactness enforced when literals are lowered.
     """
-    if t == u:
+    key = (t, u)
+    try:
+        return _PROMOTE[key]
+    except KeyError:
+        r = _PROMOTE[key] = _promote(t, u)
+        return r
+
+
+def _promote(t: Type, u: Type) -> Type | None:
+    if t is u:
         return t if is_numeric_scalar(t) or isinstance(t, BoolType) else None
     for a, b in ((t, u), (u, t)):
         if isinstance(a, RationalType):

@@ -276,3 +276,16 @@ def test_repeated_calls_in_one_process_share_no_state(good, tmp_path, capsys):
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("eklc ")
     assert main(["check", good]) == 0
+
+
+def test_check_output_of_the_invalid_corpus_is_pinned(monkeypatch, capsys):
+    """`eklc check` prints the same diagnostics, in the same order, with the
+    same exit code as pinned in `golden/invalid_check.json`."""
+    with open(os.path.join(REPO_ROOT, "tests", "golden", "invalid_check.json")) as f:
+        golden = json.load(f)
+    assert len(golden) == 20
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setenv("EKLC_COLOR", "never")
+    for name, expected in sorted(golden.items()):
+        code = main(["check", f"corpus/invalid/{name}"])
+        assert (code, capsys.readouterr().err) == (expected["exit"], expected["stderr"]), name

@@ -67,3 +67,23 @@ def test_parse_ir_rejects_malformed_text():
         parse_ir("ekl.program ( { %0 = ekl.add(%1) }")
     with pytest.raises(IrSyntaxError):
         parse_ir("not ir at all")
+
+
+@pytest.mark.parametrize(
+    "text, col, message",
+    [
+        ("ekl.literal() {type = index<-3>}", 23, "index bound must be positive"),
+        ("ekl.literal() {type = array<f64[-2]>}", 23, "array extents must be non-negative"),
+        ("ekl.assoc() {shape = [-1]}", 22, "shape extents must be non-negative"),
+        ("ekl.literal() {value = 1/0}", 24, "zero denominator in 1/0"),
+    ],
+)
+def test_parse_ir_reports_rejected_fields_as_located_syntax_errors(text, col, message):
+    with pytest.raises(IrSyntaxError) as info:
+        parse_ir(text, "t.eklir")
+    assert info.value.message == message
+    assert (info.value.location.file, info.value.location.line, info.value.location.col) == (
+        "t.eklir",
+        1,
+        col,
+    )

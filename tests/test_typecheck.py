@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 import pytest
 
 from conftest import corpus_path, corpus_source
 from eklc.interp import eval_module
-from eklc.ir import count_ops, walk_lexical
+from eklc.ir import REGISTRY, Operation, count_ops, walk_lexical
 from eklc.parser import parse_source
 from eklc.pipeline import compile_source
 from eklc.typecheck import (
@@ -188,3 +189,69 @@ def test_each_invalid_kernel_reports_one_error(name):
     result = compile_source(corpus_source("invalid", name), name, stage="typed")
     errors = [d for d in result.diagnostics if d.severity == "error"]
     assert len(errors) == 1, [str(d) for d in errors]
+
+
+# Iterations of the fix-point checker on each valid corpus kernel, and on
+# one module that holds all of them.
+CORPUS_ITERATIONS = {
+    "convection.ekl": 360,
+    "elliptic_d.ekl": 76,
+    "elliptic_r.ekl": 62,
+    "inv_helm.ekl": 18,
+    "taumol_sw.ekl": 105,
+    "mini/convection_l5.ekl": 45,
+    "mini/taumol_small.ekl": 27,
+}
+MODULE_ITERATIONS = 693
+
+
+def _corpus_module(name: str):
+    """A valid corpus kernel, or with `module` all of them in one module."""
+    if name == "module":
+        parts = [
+            re.sub(r"\bkernel\s+(\w+)", rf"kernel \1_m{i}", corpus_source(*k.split("/")))
+            for i, k in enumerate(CORPUS_ITERATIONS)
+        ]
+        source = "\n".join(parts)
+    else:
+        source = corpus_source(*name.split("/"))
+    module, diags = parse_source(source, name)
+    assert not diags
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_ITERATIONS) + ["module"])
+def test_corpus_iteration_counts_are_pinned(name):
+    module = _corpus_module(name)
+    expected = MODULE_ITERATIONS if name == "module" else CORPUS_ITERATIONS[name]
+    checker = run_fixpoint(module)
+    assert not checker.diagnostics
+    assert checker.state.iterations == expected
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_ITERATIONS) + ["module"])
+def test_a_rule_that_reads_no_value_runs_once(name, monkeypatch):
+    """Only a tightened value that a rule read re-runs the rule, so a rule
+    that reads no bound (a literal, an output) runs exactly once."""
+    runs: dict[Operation, int] = {}
+    reads: dict[Operation, int] = {}
+    for kind in REGISTRY.kinds():
+        sig = REGISTRY.lookup(kind)
+        if sig.typing_rule is None:
+            continue
+
+        def counted(op, ctx, rule=sig.typing_rule):
+            runs[op] = runs.get(op, 0) + 1
+            rule(op, ctx)
+            reads[op] = reads.get(op, 0) + len(ctx.reads)
+
+        monkeypatch.setattr(sig, "typing_rule", counted)
+    checker = run_fixpoint(_corpus_module(name))
+    assert not checker.diagnostics
+    blind = [op for op in runs if reads[op] == 0]
+    assert all(reads[op] == 0 for op in runs if op.kind in ("ekl.literal", "ekl.output"))
+    assert any(op.kind == "ekl.output" for op in blind)
+    assert all(runs[op] == 1 for op in blind), sorted(
+        {op.kind for op in blind if runs[op] > 1}
+    )
+    assert sum(runs.values()) == checker.state.iterations

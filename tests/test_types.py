@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from eklc import types
 from eklc.ir import Operation, TypeAttr
 from eklc.ir_text import parse_ir, print_ir
 from eklc.types import (
@@ -132,3 +135,36 @@ def test_type_text_round_trip():
         op = Operation("ekl.cast", attrs={"type": TypeAttr(t)}, result_types=[t])
         parsed = parse_ir(print_ir(op))
         assert parsed.attrs["type"].value == t and parsed.results[0].type == t
+
+
+def test_equal_types_are_one_instance():
+    assert IndexType(3) is IndexType(3)
+    assert ArrayType(F64, [2, 3]) is ArrayType(F64, (2, 3))
+    assert ArrayType(IndexType(4), (5,)).scalar is IndexType(4)
+    assert IndexType(3) is not IndexType(4)
+    assert str(ArrayType(F64, (2, 3))) == "array<f64[2,3]>"
+
+
+def test_copies_and_pickles_keep_the_instance():
+    t = ArrayType(IndexType(7), (2, 3))
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert copy.deepcopy([t, t])[0] is t
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(t, proto)) is t
+        assert pickle.loads(pickle.dumps(BOOL, proto)) is BOOL
+
+
+def test_a_rejected_type_records_no_instance():
+    with pytest.raises(ValueError, match="index bound must be positive"):
+        IndexType(0)
+    assert (IndexType, 0) not in types._UNIQUE
+    with pytest.raises(ValueError, match="array extents must be non-negative"):
+        ArrayType(F64, (2, -1))
+    assert (ArrayType, F64, (2, -1)) not in types._UNIQUE
+
+
+def test_types_are_immutable():
+    with pytest.raises(AttributeError):
+        IndexType(3).bound = 4
+    assert IndexType(3).bound == 3
