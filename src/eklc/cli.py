@@ -29,7 +29,14 @@ from .interp import BoundsTrap, EvalError, eval_kernel, random_inputs
 from .ir import count_ops, kernel_inputs, kernel_outputs, kernels_of
 from .ir_text import print_ir
 from .pipeline import STAGES, compile_all_stages, compile_source
-from .tensor_io import TensorIOError, TensorValue, check_against, read_tensor, write_tensor
+from .tensor_io import (
+    TensorIOError,
+    TensorValue,
+    check_against,
+    check_writable,
+    read_tensor,
+    write_tensor,
+)
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -39,11 +46,14 @@ EXIT_IO = 3
 
 def _read_source(path: str) -> str:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return f.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from exc
+        reason = exc.strerror
+    except UnicodeDecodeError:
+        reason = "not valid UTF-8 text"
+    print(f"error: cannot read {path}: {reason}", file=sys.stderr)
+    raise SystemExit(EXIT_IO)
 
 
 def _emit(diagnostics, source: str | None = None) -> bool:
@@ -98,6 +108,16 @@ def cmd_run(args) -> int:
     in_paths = _parse_bindings(args.inputs, "--in")
     out_paths = _parse_bindings(args.outputs, "--out")
     rng = np.random.default_rng(args.seed)
+    # An output that no file format holds is refused before any kernel runs.
+    for kernel in kernels_of(result.module):
+        for name, declared in kernel_outputs(kernel):
+            if name not in out_paths:
+                continue
+            try:
+                check_writable(declared)
+            except TensorIOError as exc:
+                print(f"error [{exc.code}]: output '{name}': {exc}", file=sys.stderr)
+                return EXIT_DIAGNOSTICS
 
     loaded: dict[str, TensorValue] = {}
     for name, path in in_paths.items():

@@ -180,12 +180,6 @@ class Operation:
         assert len(self.results) == 1, f"{self.kind} has {len(self.results)} results"
         return self.results[0]
 
-    @property
-    def parent_op(self) -> Optional["Operation"]:
-        if self.parent and self.parent.parent:
-            return self.parent.parent.parent
-        return None
-
     def body(self, i: int = 0) -> Block:
         return self.regions[i].block
 

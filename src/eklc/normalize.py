@@ -33,9 +33,7 @@ from .ir import (
     IntAttr,
     Operation,
     RationalAttr,
-    Region,
-    ShapeAttr,
-    TypeAttr,
+    StringAttr,
     Value,
     erase_tree,
     walk_lexical,
@@ -44,10 +42,12 @@ from .ops import (
     _EXACT,
     CMP_PREDICATES,
     _literal_value,
-    index_literal,
-    make_literal,
+    _subscript_slots,
+    make_assoc,
+    make_cast,
+    make_subscript,
     make_yield,
-    pseudo_literal,
+    typed_literal,
 )
 from .types import (
     ArrayType,
@@ -119,8 +119,8 @@ def _is_pseudo_literal(op: Operation | None) -> bool:
 
 
 def _replace_with(op: Operation, replacement: Operation) -> None:
+    """Put `replacement`, already of op's result type, in op's place."""
     op.parent.insert_before(op, replacement)
-    replacement.result.type = op.result.type
     op.result.replace_all_uses_with(replacement.result)
     erase_tree(op)
 
@@ -175,7 +175,7 @@ def _fold_into(op: Operation, value: Fraction | bool | None) -> bool:
     if not rational_fits_exactly(value, t):
         return False
     attr = RationalAttr(value) if isinstance(t, RationalType) else IntAttr(int(value))
-    _replace_with(op, make_literal(attr, t, op.location))
+    _replace_with(op, typed_literal(attr, t, op.location))
     return True
 
 
@@ -235,18 +235,6 @@ def simplify(module: Operation) -> Operation:
 # --- materialize_casts -------------------------------------------------------
 
 
-def _cast_before(anchor: Operation, value: Value, target: Type) -> Value:
-    cast = Operation(
-        "ekl.cast",
-        operands=[value],
-        attrs={"type": TypeAttr(target)},
-        result_types=[target],
-        location=anchor.location,
-    )
-    anchor.parent.insert_before(anchor, cast)
-    return cast.result
-
-
 def _cast_operands_to(op: Operation, indices: list[int], scalar: Type) -> bool:
     changed = False
     for i in indices:
@@ -254,7 +242,9 @@ def _cast_operands_to(op: Operation, indices: list[int], scalar: Type) -> bool:
         s = scalar_of(v.type)
         if s == scalar or isinstance(s, PseudoType):
             continue
-        op.set_operand(i, _cast_before(op, v, with_shape(scalar, shape_of(v.type))))
+        cast = make_cast(v, with_shape(scalar, shape_of(v.type)), op.location)
+        op.parent.insert_before(op, cast)
+        op.set_operand(i, cast.result)
         changed = True
     return changed
 
@@ -263,11 +253,7 @@ def _expand_ellipsis(op: Operation) -> None:
     src_t = op.operands[0].type
     if not isinstance(src_t, ArrayType):
         return
-    slots = []
-    for v in op.operands[1:]:
-        defop = v.defining_op
-        kind = defop.attrs["type"].value.kind if _is_pseudo_literal(defop) else "index"
-        slots.append((kind, v))
+    slots = [(kind, op.operands[i]) for kind, i in _subscript_slots(op)]
     if all(kind != "..." for kind, _ in slots):
         return
     fixed = sum(1 for k, _ in slots if k != "...")
@@ -276,8 +262,7 @@ def _expand_ellipsis(op: Operation) -> None:
     for kind, v in slots:
         if kind == "...":
             for _ in range(missing):
-                identity = pseudo_literal(":", op.location)
-                identity.result.type = PseudoType(":")
+                identity = typed_literal(StringAttr(":"), PseudoType(":"), op.location)
                 op.parent.insert_before(op, identity)
                 new_operands.append(identity.result)
         else:
@@ -355,18 +340,9 @@ def _subscript_mapped(
         elif extent == 1 and shape[offset + a] == 1:
             slots.append(block.args[offset + a])
         else:
-            lit = index_literal(0, loc)
-            lit.result.type = IndexType(1)
-            block.append(lit)
+            lit = block.append(typed_literal(IntAttr(0), IndexType(1), loc))
             slots.append(lit.result)
-    sub = Operation(
-        "ekl.subscript",
-        operands=[v] + slots,
-        result_types=[scalar_of(v.type)],
-        location=loc,
-    )
-    block.append(sub)
-    return sub.result
+    return block.append(make_subscript(v, slots, scalar_of(v.type), loc)).result
 
 
 def _scalarize(op: Operation) -> bool:
@@ -381,26 +357,19 @@ def _scalarize(op: Operation) -> bool:
     body_operands = [
         _subscript_mapped(block, v, shape, loc) for v in op.operands
     ]
-    attrs = dict(op.attrs)
     if op.kind == "ekl.cast":
-        attrs["type"] = TypeAttr(scalar_of(attrs["type"].value))
-    scalar_op = Operation(
-        op.kind,
-        operands=body_operands,
-        attrs=attrs,
-        result_types=[scalar_of(rt)],
-        location=loc,
-    )
+        scalar_op = make_cast(body_operands[0], scalar_of(rt), loc)
+    else:
+        scalar_op = Operation(
+            op.kind,
+            operands=body_operands,
+            attrs=op.attrs,
+            result_types=[scalar_of(rt)],
+            location=loc,
+        )
     block.append(scalar_op)
     block.append(make_yield(scalar_op.result, loc))
-    assoc = Operation(
-        "ekl.assoc",
-        attrs={"shape": ShapeAttr(shape)},
-        regions=[Region(block)],
-        result_types=[rt],
-        location=loc,
-    )
-    _replace_with(op, assoc)
+    _replace_with(op, make_assoc(block, rt, loc))
     return True
 
 

@@ -13,11 +13,13 @@ from fractions import Fraction
 from .diagnostics import Diagnostic, Location, error
 from .ir import (
     Attribute,
+    Block,
     IntAttr,
     OpSignature,
     Operation,
     RationalAttr,
     REGISTRY,
+    Region,
     ShapeAttr,
     StringAttr,
     TypeAttr,
@@ -114,19 +116,6 @@ def _literal_type(op: Operation) -> Type | None:
     return None
 
 
-def _literal_int_value(v: Value) -> int | None:
-    """Constant integer value of a rational/index literal operand, if any."""
-    op = v.defining_op
-    if op is None or op.kind != "ekl.literal":
-        return None
-    attr = op.attrs.get("value")
-    if isinstance(attr, IntAttr):
-        return attr.value
-    if isinstance(attr, RationalAttr) and attr.value.denominator == 1:
-        return int(attr.value)
-    return None
-
-
 def _literal_value(v: Value) -> Fraction | bool | None:
     """The exact value of a scalar literal: a bool for a bool literal, a
     Fraction for a rational, index or integer one; otherwise None."""
@@ -202,9 +191,9 @@ def arith_rule(op: Operation, ctx: TypingContext) -> None:
         index = index_add_bound(*scalars)
         if index is None and any(isinstance(s, IndexType) for s in scalars):
             idx, other = (0, 1) if isinstance(scalars[0], IndexType) else (1, 0)
-            const = _literal_int_value(op.operands[other])
-            if const is not None and const >= 0:
-                index = IndexType(scalars[idx].bound + const)
+            const = _literal_value(op.operands[other])
+            if const is not None and const.denominator == 1 and const >= 0:
+                index = IndexType(scalars[idx].bound + int(const))
         if index is not None:
             shape = broadcast_shapes(shape_of(samples[0]), shape_of(samples[1]))
             if shape is None:
@@ -516,17 +505,29 @@ _sig("ekl.cast", min_operands=1, max_operands=1, num_results=1, typing_rule=cast
 
 
 # --- builder helpers --------------------------------------------------------
+#
+# Each construct that more than one pass creates is built here, so its
+# shape is decided once. Builders return the op unattached; the caller
+# places it.
 
 
 def make_literal(
     value: Attribute, type: Type, loc: Location = Location()
 ) -> Operation:
+    """A literal as the parser builds it: its result is still `expr`."""
     return Operation(
         "ekl.literal",
         attrs={"value": value, "type": TypeAttr(type)},
         result_types=[EXPR],
         location=loc,
     )
+
+
+def typed_literal(value: Attribute, type: Type, loc: Location = Location()) -> Operation:
+    """A literal built after type checking: its result has its own type."""
+    lit = make_literal(value, type, loc)
+    lit.result.type = type
+    return lit
 
 
 def number_literal(value: Fraction | int, loc: Location = Location()) -> Operation:
@@ -547,6 +548,59 @@ def pseudo_literal(kind: str, loc: Location = Location()) -> Operation:
 
 def make_yield(value: Value, loc: Location = Location()) -> Operation:
     return Operation("ekl.yield", operands=[value], location=loc)
+
+
+def make_assoc(block: Block, result_type: Type, loc: Location) -> Operation:
+    """An assoc over the functor `block`. An array result type is mirrored
+    in the `shape` attribute; an untyped (`expr`) result has none yet."""
+    attrs = None
+    if isinstance(result_type, ArrayType):
+        attrs = {"shape": ShapeAttr(result_type.shape)}
+    return Operation(
+        "ekl.assoc",
+        attrs=attrs,
+        regions=[Region(block)],
+        result_types=[result_type],
+        location=loc,
+    )
+
+
+def make_sum(source: Value, scalar: Type, loc: Location) -> Operation:
+    """A reduce that adds up the elements of `source` from 0; `scalar` is
+    the type of its combiner arguments and of its result."""
+    combiner = Block([scalar, scalar])
+    add = Operation(
+        "ekl.add", operands=combiner.args, result_types=[scalar], location=loc
+    )
+    combiner.append(add)
+    combiner.append(make_yield(add.result, loc))
+    return Operation(
+        "ekl.reduce",
+        operands=[source],
+        attrs={"init": RationalAttr(Fraction(0))},
+        regions=[Region(combiner)],
+        result_types=[scalar],
+        location=loc,
+    )
+
+
+def make_cast(value: Value, target: Type, loc: Location) -> Operation:
+    return Operation(
+        "ekl.cast",
+        operands=[value],
+        attrs={"type": TypeAttr(target)},
+        result_types=[target],
+        location=loc,
+    )
+
+
+def make_subscript(
+    source: Value, slots: list[Value], type: Type, loc: Location
+) -> Operation:
+    """`source[slots...]` with result type `type`."""
+    return Operation(
+        "ekl.subscript", operands=[source, *slots], result_types=[type], location=loc
+    )
 
 
 # --- structural queries -----------------------------------------------------

@@ -23,9 +23,6 @@ from .ir import (
     Block,
     Operation,
     RationalAttr,
-    Region,
-    ShapeAttr,
-    TypeAttr,
     Value,
     clone_op,
     erase_tree,
@@ -33,7 +30,15 @@ from .ir import (
     walk_lexical,
 )
 from .normalize import _dce_block, _replace_with, _try_choice, rewrite
-from .ops import is_plain_sum, make_literal, make_yield, number_literal
+from .ops import (
+    is_plain_sum,
+    make_assoc,
+    make_cast,
+    make_subscript,
+    make_sum,
+    make_yield,
+    typed_literal,
+)
 from .types import (
     RATIONAL,
     ArrayType,
@@ -131,20 +136,13 @@ class _Factor:
         self, mapping: dict[Value, Value], block: Block, inside: set[int], loc
     ) -> Value:
         if self.multiplicity is not None:
-            lit = number_literal(Fraction(self.multiplicity), loc)
-            lit.result.type = RATIONAL
-            block.append(lit)
-            return lit.result
+            m = RationalAttr(Fraction(self.multiplicity))
+            return block.append(typed_literal(m, RATIONAL, loc)).result
         if self.table is not None:
-            sub = Operation(
-                "ekl.subscript",
-                operands=[self.table.result]
-                + [mapping[a] for a in self.table_keys],
-                result_types=[scalar_of(self.table.result.type)],
-                location=loc,
-            )
-            block.append(sub)
-            return sub.result
+            table = self.table.result
+            slots = [mapping[a] for a in self.table_keys]
+            sub = make_subscript(table, slots, scalar_of(table.type), loc)
+            return block.append(sub).result
         return _clone_expr(self.value, dict(mapping), block, inside)
 
 
@@ -259,23 +257,9 @@ def _try_lift(parent: Block, outer: Operation, fast_math: bool) -> None:
             kind = "ekl.add" if sign > 0 else "ekl.sub"
             total = _arith_value(new_block, kind, loc, total, product)
     if scalar_of(total.type) != element:
-        cast = Operation(
-            "ekl.cast",
-            operands=[total],
-            attrs={"type": TypeAttr(element)},
-            result_types=[element],
-            location=loc,
-        )
-        new_block.append(cast)
-        total = cast.result
+        total = new_block.append(make_cast(total, element, loc)).result
     new_block.append(make_yield(total, loc))
-    new_assoc = Operation(
-        "ekl.assoc",
-        attrs={"shape": ShapeAttr(outer.result.type.shape)},
-        regions=[Region(new_block)],
-        result_types=[outer.result.type],
-        location=loc,
-    )
+    new_assoc = make_assoc(new_block, outer.result.type, loc)
     parent.insert_before(outer, new_assoc)
     outer.result.replace_all_uses_with(new_assoc.result)
     erase_tree(outer)
@@ -344,35 +328,12 @@ def _emit_table(
         )
     sweep_block.append(make_yield(product, loc))
     scalar = scalar_of(product.type)
-    sweep = Operation(
-        "ekl.assoc",
-        attrs={"shape": ShapeAttr((_extent(r),))},
-        regions=[Region(sweep_block)],
-        result_types=[ArrayType(scalar, (_extent(r),))],
-        location=loc,
-    )
+    sweep = make_assoc(sweep_block, ArrayType(scalar, (_extent(r),)), loc)
     table_block.append(sweep)
-    combiner = Block([scalar, scalar])
-    add = _arith_value(combiner, "ekl.add", loc, *combiner.args)
-    combiner.append(make_yield(add, loc))
-    fold = Operation(
-        "ekl.reduce",
-        operands=[sweep.result],
-        attrs={"init": RationalAttr(Fraction(0))},
-        regions=[Region(combiner)],
-        result_types=[scalar],
-        location=loc,
-    )
-    table_block.append(fold)
+    fold = table_block.append(make_sum(sweep.result, scalar, loc))
     table_block.append(make_yield(fold.result, loc))
     shape = tuple(_extent(a) for a in free)
-    table = Operation(
-        "ekl.assoc",
-        attrs={"shape": ShapeAttr(shape)},
-        regions=[Region(table_block)],
-        result_types=[ArrayType(scalar, shape)],
-        location=loc,
-    )
+    table = make_assoc(table_block, ArrayType(scalar, shape), loc)
     parent.insert_before(anchor, table)
     return table
 
@@ -479,7 +440,7 @@ def lower_rationals(module: Operation) -> list[Diagnostic]:
                 )
             )
             return False
-        _replace_with(op, make_literal(attr, target, op.location))
+        _replace_with(op, typed_literal(attr, target, op.location))
         return True
 
     rewrite(module, (lower,))

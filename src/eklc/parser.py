@@ -10,23 +10,19 @@ running the compiler's exact local rewrites over it.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from .diagnostics import Diagnostic, Location, error
-from .ir import (
-    Block,
-    Operation,
-    RationalAttr,
-    Region,
-    StringAttr,
-    TypeAttr,
-    Value,
-)
+from .ir import Block, Operation, Region, StringAttr, TypeAttr, Value
 from .lexer import LexError, Token, tokenize
 from .normalize import SIMPLIFY_RULES, _exact_value, _try_choice, rewrite
 from .ops import (
     _literal_value,
     bool_literal,
     index_literal,
+    make_assoc,
+    make_subscript,
+    make_sum,
     make_yield,
     number_literal,
     pseudo_literal,
@@ -60,6 +56,8 @@ SOURCE_SCALARS: dict[str, Type] = {
 }
 
 _CMP_TOKENS = {"==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
+_ADDSUB = {"+": "ekl.add", "-": "ekl.sub"}
+_MULDIV = {"*": "ekl.mul", "/": "ekl.div"}
 
 
 class ParseError(Exception):
@@ -130,6 +128,16 @@ class Parser:
         self.block.append(op)
         return op.result
 
+    def emit_expr(
+        self, kind: str, operands: list[Value], loc: Location, **attrs
+    ) -> Value:
+        """Append an expression op whose result is still untyped."""
+        return self.emit(
+            Operation(
+                kind, operands=operands, attrs=attrs, result_types=[EXPR], location=loc
+            )
+        )
+
     def bind(self, name: str, value: Value, loc: Location) -> None:
         if name in self.scopes[-1]:
             self.error(loc, f"'{name}' is already defined in this scope")
@@ -165,6 +173,48 @@ class Parser:
     def _sync_kernel(self) -> None:
         while self.peek().kind != "eof" and not self.at("kernel"):
             self.advance()
+
+    # --- shared grammar -----------------------------------------------------
+
+    def _parse_list(self, item: Callable, close: str, context: str) -> list:
+        """`item (',' item)* close`, the items in order."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        self.expect(close, context)
+        return items
+
+    def _parse_stmts(self, block: Block, scope: dict[str, Value], context: str) -> None:
+        """Statements into `block`, in `scope`, up to the closing brace."""
+        saved = self.block
+        self.block = block
+        self.scopes.append(scope)
+        try:
+            while not self.at("}") and self.peek().kind != "eof":
+                try:
+                    self.parse_stmt()
+                except ParseError:
+                    self._sync_stmt()
+            self.expect("}", context)
+        finally:
+            self.block = saved
+            self.scopes.pop()
+
+    def _parse_generator(
+        self, names: list[Token], loc: Location, parse_body: Callable[[], Value]
+    ) -> Value:
+        """An assoc whose functor binds `names` and yields the value that
+        `parse_body` parses inside it."""
+        block = Block([EXPR] * len(names))
+        saved = self.block
+        self.block = block
+        self.scopes.append({tok.text: arg for tok, arg in zip(names, block.args)})
+        try:
+            block.append(make_yield(parse_body(), loc))
+        finally:
+            self.block = saved
+            self.scopes.pop()
+        return self.emit(make_assoc(block, EXPR, loc))
 
     # --- program structure --------------------------------------------------
 
@@ -205,18 +255,7 @@ class Parser:
                     break
             self.expect(")", "after the parameter list")
         self.expect("{", "to begin the kernel body")
-        self.scopes.append(scope)
-        self.block = block
-        try:
-            while not self.at("}") and self.peek().kind != "eof":
-                try:
-                    self.parse_stmt()
-                except ParseError:
-                    self._sync_stmt()
-            self.expect("}", "to close the kernel body")
-        finally:
-            self.scopes.pop()
-            self.block = None
+        self._parse_stmts(block, scope, "to close the kernel body")
 
     def parse_param(
         self,
@@ -266,10 +305,7 @@ class Parser:
             self.error(tok.loc, f"unknown type name '{tok.text}'")
             raise ParseError()
         if self.accept("["):
-            dims = [self.parse_extent()]
-            while self.accept(","):
-                dims.append(self.parse_extent())
-            self.expect("]", "after the array extents")
+            dims = self._parse_list(self.parse_extent, "]", "after the array extents")
             return ArrayType(scalar, tuple(dims))
         return scalar
 
@@ -336,97 +372,36 @@ class Parser:
     def parse_let(self) -> None:
         loc = self.expect("let", "to begin a binding").loc
         name = self.expect_ident("for the binding")
-        index_names: list[Token] | None = None
         if self.accept("["):
-            index_names = [self.expect_ident("for an association index")]
-            while self.accept(","):
-                index_names.append(self.expect_ident("for an association index"))
-            self.expect("]", "after the association indices")
-        if index_names is None:
-            self.expect("=", "in the binding")
-            value = self.parse_expr()
-            self.expect(";", "after the binding")
-            self.bind(name.text, value, name.loc)
-            self._maybe_output(name.text, value, loc)
-            return
-
-        reduction_names: list[Token] | None = None
-        if self.accept("=+"):
-            self.expect("(", "after '=+'")
-            reduction_names = [self.expect_ident("for a reduction index")]
-            while self.accept(","):
-                reduction_names.append(self.expect_ident("for a reduction index"))
-            self.expect(")", "after the reduction indices")
+            index_names = self._parse_list(
+                lambda: self.expect_ident("for an association index"),
+                "]",
+                "after the association indices",
+            )
+            if self.accept("=+"):
+                self.expect("(", "after '=+'")
+                reduction_names = self._parse_list(
+                    lambda: self.expect_ident("for a reduction index"),
+                    ")",
+                    "after the reduction indices",
+                )
+                value = self._parse_generator(
+                    index_names, loc, lambda: self._parse_sum(reduction_names, loc)
+                )
+            else:
+                self.expect("=", "in the binding")
+                value = self._parse_generator(index_names, loc, self.parse_expr)
         else:
             self.expect("=", "in the binding")
-
-        outer_block = Block([EXPR] * len(index_names))
-        assoc = Operation(
-            "ekl.assoc",
-            regions=[Region(outer_block)],
-            result_types=[EXPR],
-            location=loc,
-        )
-        self.scopes.append(
-            {tok.text: arg for tok, arg in zip(index_names, outer_block.args)}
-        )
-        saved = self.block
-        self.block = outer_block
-        try:
-            if reduction_names is None:
-                value = self.parse_expr()
-                outer_block.append(make_yield(value, loc))
-            else:
-                self._parse_reduction_body(outer_block, reduction_names, loc)
-        finally:
-            self.block = saved
-            self.scopes.pop()
-        self.block.append(assoc)
-        self.expect(";", "after the binding")
-        self.bind(name.text, assoc.result, name.loc)
-        self._maybe_output(name.text, assoc.result, loc)
-
-    def _parse_reduction_body(
-        self, outer_block: Block, reduction_names: list[Token], loc: Location
-    ) -> None:
-        """`=+ (r...) e`: a term array over the bound indices, summed."""
-        inner_block = Block([EXPR] * len(reduction_names))
-        inner = Operation(
-            "ekl.assoc",
-            regions=[Region(inner_block)],
-            result_types=[EXPR],
-            location=loc,
-        )
-        self.scopes.append(
-            {tok.text: arg for tok, arg in zip(reduction_names, inner_block.args)}
-        )
-        self.block = inner_block
-        try:
             value = self.parse_expr()
-            inner_block.append(make_yield(value, loc))
-        finally:
-            self.block = outer_block
-            self.scopes.pop()
-        outer_block.append(inner)
-        combiner = Block([EXPR, EXPR])
-        acc = Operation(
-            "ekl.add",
-            operands=[combiner.args[0], combiner.args[1]],
-            result_types=[EXPR],
-            location=loc,
-        )
-        combiner.append(acc)
-        combiner.append(make_yield(acc.result, loc))
-        reduce = Operation(
-            "ekl.reduce",
-            operands=[inner.result],
-            attrs={"init": RationalAttr(Fraction(0))},
-            regions=[Region(combiner)],
-            result_types=[EXPR],
-            location=loc,
-        )
-        outer_block.append(reduce)
-        outer_block.append(make_yield(reduce.result, loc))
+        self.expect(";", "after the binding")
+        self.bind(name.text, value, name.loc)
+        self._maybe_output(name.text, value, loc)
+
+    def _parse_sum(self, reduction_names: list[Token], loc: Location) -> Value:
+        """`=+ (r...) e`: a term array over the bound indices, summed."""
+        terms = self._parse_generator(reduction_names, loc, self.parse_expr)
+        return self.emit(make_sum(terms, EXPR, loc))
 
     def parse_out(self) -> None:
         loc = self.expect("out", "to begin an output").loc
@@ -457,19 +432,7 @@ class Parser:
 
     def _parse_stmt_block(self, block: Block) -> None:
         self.expect("{", "to begin a statement block")
-        saved = self.block
-        self.block = block
-        self.scopes.append({})
-        try:
-            while not self.at("}") and self.peek().kind != "eof":
-                try:
-                    self.parse_stmt()
-                except ParseError:
-                    self._sync_stmt()
-            self.expect("}", "to close the statement block")
-        finally:
-            self.block = saved
-            self.scopes.pop()
+        self._parse_stmts(block, {}, "to close the statement block")
 
     # --- expressions ---------------------------------------------------------
 
@@ -482,83 +445,39 @@ class Parser:
         if tok.kind == "punct" and tok.text in _CMP_TOKENS:
             self.advance()
             right = self.parse_addsub()
-            return self.emit(
-                Operation(
-                    "ekl.cmp",
-                    operands=[left, right],
-                    attrs={"pred": StringAttr(_CMP_TOKENS[tok.text])},
-                    result_types=[EXPR],
-                    location=tok.loc,
-                )
-            )
+            pred = StringAttr(_CMP_TOKENS[tok.text])
+            return self.emit_expr("ekl.cmp", [left, right], tok.loc, pred=pred)
         return left
 
     def parse_addsub(self) -> Value:
-        left = self.parse_muldiv()
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text in ("+", "-"):
-                self.advance()
-                right = self.parse_muldiv()
-                kind = "ekl.add" if tok.text == "+" else "ekl.sub"
-                left = self.emit(
-                    Operation(
-                        kind,
-                        operands=[left, right],
-                        result_types=[EXPR],
-                        location=tok.loc,
-                    )
-                )
-            else:
-                return left
+        return self._parse_binary(_ADDSUB, self.parse_muldiv)
 
     def parse_muldiv(self) -> Value:
-        left = self.parse_unary()
-        while True:
+        return self._parse_binary(_MULDIV, self.parse_unary)
+
+    def _parse_binary(self, kinds: dict[str, str], parse_operand: Callable) -> Value:
+        """A left-associative chain of the operators in `kinds`."""
+        left = parse_operand()
+        tok = self.peek()
+        while tok.kind == "punct" and tok.text in kinds:
+            self.advance()
+            left = self.emit_expr(kinds[tok.text], [left, parse_operand()], tok.loc)
             tok = self.peek()
-            if tok.kind == "punct" and tok.text in ("*", "/"):
-                self.advance()
-                right = self.parse_unary()
-                kind = "ekl.mul" if tok.text == "*" else "ekl.div"
-                left = self.emit(
-                    Operation(
-                        kind,
-                        operands=[left, right],
-                        result_types=[EXPR],
-                        location=tok.loc,
-                    )
-                )
-            else:
-                return left
+        return left
 
     def parse_unary(self) -> Value:
         tok = self.peek()
         if tok.kind == "punct" and tok.text == "-":
             self.advance()
-            value = self.parse_unary()
-            return self.emit(
-                Operation(
-                    "ekl.neg", operands=[value], result_types=[EXPR], location=tok.loc
-                )
-            )
+            return self.emit_expr("ekl.neg", [self.parse_unary()], tok.loc)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Value:
         value = self.parse_primary()
         while self.at("["):
             loc = self.advance().loc
-            slots = [self.parse_subscript_slot()]
-            while self.accept(","):
-                slots.append(self.parse_subscript_slot())
-            self.expect("]", "after the subscript")
-            value = self.emit(
-                Operation(
-                    "ekl.subscript",
-                    operands=[value] + slots,
-                    result_types=[EXPR],
-                    location=loc,
-                )
-            )
+            slots = self._parse_list(self.parse_subscript_slot, "]", "after the subscript")
+            value = self.emit(make_subscript(value, slots, EXPR, loc))
         return value
 
     def parse_subscript_slot(self) -> Value:
@@ -591,19 +510,9 @@ class Parser:
         if tok.kind == "punct" and tok.text == "(":
             self.advance()
             first = self.parse_expr()
-            if self.at(","):
-                elements = [first]
-                while self.accept(","):
-                    elements.append(self.parse_expr())
-                self.expect(")", "after the stack elements")
-                return self.emit(
-                    Operation(
-                        "ekl.stack",
-                        operands=elements,
-                        result_types=[EXPR],
-                        location=tok.loc,
-                    )
-                )
+            if self.accept(","):
+                rest = self._parse_list(self.parse_expr, ")", "after the stack elements")
+                return self.emit_expr("ekl.stack", [first, *rest], tok.loc)
             self.expect(")", "after the expression")
             return first
         self.error(tok.loc, f"expected an expression, found '{tok.text}'")
@@ -617,14 +526,7 @@ class Parser:
         then_value = self.parse_expr()
         self.expect("else", "in the conditional expression")
         else_value = self.parse_expr()
-        return self.emit(
-            Operation(
-                "ekl.choice",
-                operands=[cond, then_value, else_value],
-                result_types=[EXPR],
-                location=loc,
-            )
-        )
+        return self.emit_expr("ekl.choice", [cond, then_value, else_value], loc)
 
 
 def fold_constexpr(

@@ -118,12 +118,19 @@ def check_against(t: TensorValue, declared: Type) -> None:
         )
 
 
+def check_writable(declared: Type) -> None:
+    """Raise unless a tensor of the declared type has a file format: EKLR
+    for rational, EKLT for si32, si64, f32, f64 and bool."""
+    kind = scalar_of(declared)
+    if not isinstance(kind, RationalType) and kind not in _CODE_BY_KIND:
+        raise TensorIOError(f"kind {kind} has no serialized form")
+
+
 def write_tensor(path: str, t: TensorValue) -> None:
+    check_writable(t.kind)
     if isinstance(t.kind, RationalType):
         _write_rational(path, t)
         return
-    if t.kind not in _CODE_BY_KIND:
-        raise TensorIOError(f"kind {t.kind} has no serialized form")
     code, dt = _CODE_BY_KIND[t.kind]
     header = b"EKLT" + struct.pack("<BBBx", 1, code, len(t.shape))
     extents = struct.pack(f"<{len(t.shape)}Q", *t.shape)
@@ -184,6 +191,8 @@ def _read_rational(blob: bytes, path: str) -> TensorValue:
         shape = tuple(int(e) for e in lines[2].split())
     except ValueError as exc:
         raise MalformedHeaderError(f"{path}: bad extents line") from exc
+    if any(e < 0 for e in shape):
+        raise MalformedHeaderError(f"{path}: bad extents line")
     count = math.prod(shape)
     entries = [ln for ln in lines[3:] if ln.strip()]
     if len(entries) != count:

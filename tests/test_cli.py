@@ -289,3 +289,30 @@ def test_check_output_of_the_invalid_corpus_is_pinned(monkeypatch, capsys):
     for name, expected in sorted(golden.items()):
         code = main(["check", f"corpus/invalid/{name}"])
         assert (code, capsys.readouterr().err) == (expected["exit"], expected["stderr"]), name
+
+
+@pytest.mark.parametrize("kind", ["si8", "si16", "index<4>"])
+def test_an_output_with_no_file_format_is_refused_before_running(
+    kind, tmp_path, monkeypatch, capsys
+):
+    src = tmp_path / "k.ekl"
+    src.write_text(f"kernel k(in a: {kind}[3], out y: {kind}[3]) {{ let y[i] = a[i]; }}")
+    y = tmp_path / "y.eklt"
+
+    def no_run(*args):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr("eklc.cli.eval_kernel", no_run)
+    assert main(["run", str(src), "--out", f"y={y}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error [io-error]: output 'y': kind {kind} has no serialized form\n"
+    assert not y.exists()
+
+
+def test_a_source_that_is_not_utf8_is_an_io_error(tmp_path, capsys):
+    src = tmp_path / "bad.ekl"
+    src.write_bytes(b"\xff")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(src)])
+    assert exc.value.code == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot read {src}: ")

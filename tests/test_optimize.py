@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import os
 import re
 
 import numpy as np
+import pytest
 
-from conftest import corpus_source
+from conftest import TESTS_DIR, corpus_source
+from eklc.diagnostics import Location
 from eklc.interp import eval_module, kernels_of, random_inputs
 from eklc.ir import Block, Operation, Region, clone_op, walk_lexical
 from eklc.ir_text import print_ir
+from eklc.ops import is_plain_sum, make_sum
 from eklc.optimize import fuse_producers
 from eklc.pipeline import compile_source
 from eklc.typecheck import verify_semantic
+from eklc.types import EXPR, F32, ArrayType
 
 SUMFACT = """
 kernel sumfact(
@@ -158,3 +163,23 @@ def test_each_kernel_of_a_module_optimizes_as_it_does_alone():
         program = Operation("ekl.program", regions=[Region(Block())])
         program.body().append(clone_op(kernel, {}))
         assert print_ir(program) == print_ir(_compiled(source)), source[:40]
+
+
+@pytest.mark.parametrize(
+    "name,stage", [("elliptic_r", "optimized"), ("taumol_sw", "generators")]
+)
+def test_generator_and_optimized_dumps_are_pinned(name, stage):
+    """Lifted tables and sums, scalarized generators, casts and
+    subscripts print exactly as in `golden/<name>.<stage>.eklir`."""
+    text = print_ir(_compiled(corpus_source(f"{name}.ekl"), stage=stage))
+    with open(os.path.join(TESTS_DIR, "golden", f"{name}.{stage}.eklir")) as f:
+        assert text == f.read()
+
+
+@pytest.mark.parametrize(
+    "source_type,scalar", [(EXPR, EXPR), (ArrayType(F32, (3,)), F32)]
+)
+def test_a_built_sum_is_a_plain_sum(source_type, scalar):
+    """The parser's untyped sum and lifting's typed one are both plain."""
+    source = Block([source_type]).args[0]
+    assert is_plain_sum(make_sum(source, scalar, Location()))

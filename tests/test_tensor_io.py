@@ -161,3 +161,11 @@ def test_runtime_round_trip_preserves_values():
     assert v.kind == F32 and v.shape == (2, 3)
     back = v.to_runtime()
     assert back.dtype == np.float32
+
+
+@pytest.mark.parametrize("extents", ["-2 -2", "-2", "2 -2"])
+def test_negative_rational_extents_are_a_malformed_header(tmp_path, extents):
+    path = tmp_path / "neg.eklr"
+    path.write_text(f"EKLR 1\nrational\n{extents}\n1\n2\n3\n4\n")
+    with pytest.raises(MalformedHeaderError, match="bad extents line"):
+        read_tensor(path)
