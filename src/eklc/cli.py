@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import print_diagnostics
-from .interp import BoundsTrap, EvalError, eval_kernel, random_inputs
+from .interp import BoundsTrap, EvalError, eval_kernel, random_inputs, rational_input
 from .ir import count_ops, kernel_inputs, kernel_outputs, kernels_of
 from .ir_text import print_ir
 from .pipeline import STAGES, compile_all_stages, compile_source
@@ -37,6 +37,7 @@ from .tensor_io import (
     read_tensor,
     write_tensor,
 )
+from .types import RationalType
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -108,8 +109,23 @@ def cmd_run(args) -> int:
     in_paths = _parse_bindings(args.inputs, "--in")
     out_paths = _parse_bindings(args.outputs, "--out")
     rng = np.random.default_rng(args.seed)
-    # An output that no file format holds is refused before any kernel runs.
-    for kernel in kernels_of(result.module):
+    kernels = kernels_of(result.module)
+    # A name that no kernel declares, or an output that no file format
+    # holds, is refused before any file is read or any kernel runs.
+    for flag, paths, role, signature in (
+        ("--in", in_paths, "input", kernel_inputs),
+        ("--out", out_paths, "output", kernel_outputs),
+    ):
+        declared = {name for kernel in kernels for name, _ in signature(kernel)}
+        for name in paths:
+            if name not in declared:
+                print(
+                    f"error: {flag} names '{name}', which no kernel declares "
+                    f"as an {role}",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
+    for kernel in kernels:
         for name, declared in kernel_outputs(kernel):
             if name not in out_paths:
                 continue
@@ -131,7 +147,7 @@ def cmd_run(args) -> int:
             return EXIT_DIAGNOSTICS
 
     report = {"kernels": []}
-    for kernel in kernels_of(result.module):
+    for kernel in kernels:
         inputs: dict[str, object] = {}
         randomized = []
         for name, declared in kernel_inputs(kernel):
@@ -143,7 +159,12 @@ def cmd_run(args) -> int:
                         f"error [{exc.code}]: input '{name}': {exc}", file=sys.stderr
                     )
                     return EXIT_DIAGNOSTICS
-                inputs[name] = loaded[name].to_runtime()
+                tensor = loaded[name]
+                inputs[name] = (
+                    rational_input(*tensor.ratio())
+                    if isinstance(tensor.kind, RationalType)
+                    else tensor.to_runtime()
+                )
             else:
                 randomized.append(name)
         if randomized:

@@ -20,21 +20,31 @@ aligns a grid axis with an element axis. Counters follow the
 element-at-a-time model: one count per grid point per scalar op.
 
 The oracle computes on `Fraction`s. The evaluator holds a rational value
-as a `_Pair`: a NumPy object array of Python-int numerators and one of
-denominators, always positive. `add`, `sub`, `mul`, `div` and `neg` work
-on the two arrays and run no gcd, comparisons cross-multiply, and a
-plain-sum reduction puts its terms over the lcm of their denominators. A
-pair is brought to lowest terms with one `np.gcd` at every reduction
-result and at every assoc result of the kernel body, so its magnitudes
-stay those of reduced `Fraction`s.
+as a `_Pair`: an object array of Python-int numerators over one positive
+denominator that the whole array shares (Knuth, TAOCP Vol. 2, 4.5.1, on
+delaying gcd work). An input, or a float cast to rational, is scaled once
+to the lcm of its denominators; an integer or a literal has denominator
+1, or that of the literal. Then `mul` and `neg` touch one object array,
+`add` and `sub` scale the numerators by two scalar quotients (none when
+the denominators are equal), a plain-sum reduction sums the numerators,
+comparisons cross-multiply, and `stack`, `choice` and gathers bring their
+operands to one denominator. A pair is brought toward lowest terms at
+every reduction result and every assoc result of the kernel body by one
+gcd taken over its denominator and all its numerators. Two cases keep
+one denominator per element instead, and then every op works element by
+element: a quotient by an array, and a value whose lcm of denominators
+has more than `_COMMON_BITS` (1024) bits, such as thousands of distinct
+prime denominators. The rule depends only on the value's denominators.
 
 A value crosses the kernel boundary with one conversion each way, by
 `_convert`, which also converts literals and reduction seeds. When the
 kernel starts, each input becomes a pair or an array of its declared
 machine dtype, and an index-typed input out of its range is a
-`BoundsTrap` naming the input. At `ekl.output` the value becomes an
-array of the declared dtype (a NumPy scalar at rank 0), or reduced
-`Fraction`s for a rational.
+`BoundsTrap` naming the input; a rational input given by
+`rational_input` is a pair already, and no `Fraction` of it is built. At
+`ekl.output` the value becomes an array of the declared dtype (a NumPy
+scalar at rank 0), or reduced `Fraction`s for a rational, each built
+once.
 """
 
 from __future__ import annotations
@@ -158,17 +168,28 @@ _RATIO = np.frompyfunc(operator.methodcaller("as_integer_ratio"), 1, 2)
 _FRACTION = np.frompyfunc(Fraction, 2, 1)
 
 
+# An array takes one denominator, the lcm of its own, only while that lcm
+# has at most this many bits; past it the array keeps one denominator per
+# element. Random denominators up to 100 have an lcm of at most 136 bits
+# (that of 1 to 100); thousands of distinct prime denominators would make
+# every numerator a number of tens of thousands of bits.
+_COMMON_BITS = 1024
+
+
 class _Pair:
     """Exact rational array: Python-int numerators over positive Python-int
-    denominators, as two NumPy object arrays of one shape. Not necessarily
-    in lowest terms; see `reduced`."""
+    denominators. `num` is an object array. In the common form `den` is one
+    Python int that every element shares; in the per-element form it is an
+    object array of `num`'s shape, which only division by an array and a
+    value whose lcm of denominators exceeds `_COMMON_BITS` bits produce.
+    Not necessarily in lowest terms; see `reduced`."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den) -> None:
         # Ufuncs on 0-d object arrays return bare Python ints.
         self.num = np.asarray(num, dtype=object)
-        self.den = np.asarray(den, dtype=object)
+        self.den = den if type(den) is int else np.asarray(den, dtype=object)
 
     @staticmethod
     def of(value) -> _Pair:
@@ -177,9 +198,8 @@ class _Pair:
             return value
         arr = np.asarray(value)
         if arr.dtype == object or arr.dtype.kind == "f":
-            return _Pair(*_RATIO(arr))
-        num = arr.astype(np.int64).astype(object)
-        return _Pair(num, np.ones(arr.shape, dtype=object))
+            return _Pair(*_RATIO(arr)).common()
+        return _Pair(arr.astype(np.int64).astype(object), 1)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -189,7 +209,35 @@ class _Pair:
     def ndim(self) -> int:
         return self.num.ndim
 
+    @property
+    def is_common(self) -> bool:
+        return type(self.den) is int
+
+    def common(self) -> _Pair:
+        """This pair over the lcm of its denominators, unless that lcm
+        exceeds `_COMMON_BITS` bits."""
+        if self.is_common:
+            return self
+        lcm = 1
+        for d in set(self.den.flat):
+            lcm = math.lcm(lcm, d)
+            if lcm.bit_length() > _COMMON_BITS:
+                return self
+        return _Pair(self.num * (lcm // self.den), lcm)
+
+    def per_element(self) -> _Pair:
+        """This pair with one denominator per element, as a view."""
+        if self.is_common:
+            den = np.broadcast_to(np.array(self.den, dtype=object), self.num.shape)
+            return _Pair(self.num, den)
+        return self
+
     def reduced(self) -> _Pair:
+        """Divide out the gcd of the denominator and every numerator, or of
+        each element's own numerator and denominator."""
+        if self.is_common:
+            g = math.gcd(self.den, *self.num.flat)
+            return self if g == 1 else _Pair(self.num // g, self.den // g)
         g = np.gcd(self.num, self.den)
         return _Pair(self.num // g, self.den // g)
 
@@ -210,36 +258,73 @@ class _Pair:
         return _Pair(-self.num, self.den)
 
     def __add__(self, other: _Pair) -> _Pair:
-        return _Pair(self.num * other.den + other.num * self.den, self.den * other.den)
+        return self._add(other, operator.add)
 
     def __sub__(self, other: _Pair) -> _Pair:
-        return _Pair(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._add(other, operator.sub)
+
+    def _add(self, other: _Pair, f) -> _Pair:
+        if self.is_common and other.is_common:
+            den = math.lcm(self.den, other.den)
+            return _Pair(f(_scaled(self, den), _scaled(other, den)), den)
+        a, b = self.per_element(), other.per_element()
+        return _Pair(f(a.num * b.den, b.num * a.den), a.den * b.den)
 
     def __mul__(self, other: _Pair) -> _Pair:
+        if not (self.is_common and other.is_common):
+            self, other = self.per_element(), other.per_element()
         return _Pair(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: _Pair) -> _Pair:
+        """Division; by one value (with its extent-1 axes) the quotient
+        keeps the common form, by an array it takes one denominator per
+        element."""
         if (other.num == 0).any():
             raise ZeroDivisionError
-        num = self.num * other.den
-        den = self.den * other.num
-        flip = other.num < 0
+        if self.is_common and other.is_common and other.num.size == 1:
+            d = other.num.flat[0]
+            factor = other.den if d > 0 else -other.den
+            return _Pair(self.num * factor, self.den * abs(d))
+        a, b = self.per_element(), other.per_element()
+        num = a.num * b.den
+        den = a.den * b.num
+        flip = b.num < 0
         return _Pair(np.where(flip, -num, num), np.where(flip, -den, den))
 
     def sum(self) -> _Pair:
-        """Sum over the last axis, over the lcm of its denominators."""
+        """Sum over the last axis; per element, over the lcm of its
+        denominators."""
+        if self.is_common:
+            return _Pair(self.num.sum(axis=-1), self.den)
         # On a 1-d pair the lcm is a bare Python int.
-        den = np.asarray(np.lcm.reduce(self.den, axis=-1))
-        num = (self.num * (den[..., None] // self.den)).sum(axis=-1)
-        return _Pair(num, den)
+        den = np.lcm.reduce(self.den, axis=-1)
+        scale = np.asarray(den, dtype=object)[..., None] // self.den
+        return _Pair((self.num * scale).sum(axis=-1), den)
+
+
+def _scaled(x: _Pair, den: int) -> np.ndarray:
+    """The numerators of common-form `x` over `den`, a multiple of its own."""
+    return x.num if x.den == den else x.num * (den // x.den)
+
+
+def rational_input(num, den) -> _Pair:
+    """An exact rational input for `eval_kernel` from integer numerators
+    over positive integer denominators (object arrays of Python ints of one
+    shape), in place of an array of Fractions, which it never builds."""
+    return _Pair(num, den).common()
 
 
 def _each(f, *xs):
-    """Apply an array function to plain arrays, or to the numerators and
-    to the denominators of pairs."""
-    if isinstance(xs[0], _Pair):
-        return _Pair(f(*(x.num for x in xs)), f(*(x.den for x in xs)))
-    return f(*xs)
+    """Apply an array function to plain arrays, or to pairs brought to one
+    denominator: to their numerators over the lcm of their common
+    denominators, or else to numerators and denominators per element."""
+    if not isinstance(xs[0], _Pair):
+        return f(*xs)
+    if all(x.is_common for x in xs):
+        den = math.lcm(*(x.den for x in xs))
+        return _Pair(f(*(_scaled(x, den) for x in xs)), den)
+    xs = [x.per_element() for x in xs]
+    return _Pair(f(*(x.num for x in xs)), f(*(x.den for x in xs)))
 
 
 def _fractions(value):
@@ -348,13 +433,14 @@ class _Evaluator:
         for arg, (name, t) in zip(block.args, kernel_inputs(kernel)):
             if name not in inputs:
                 raise EvalError(f"missing input '{name}'")
-            value = np.asarray(inputs[name])
+            value = inputs[name]
+            if not isinstance(value, _Pair):
+                value = np.asarray(value)
             if value.shape != shape_of(t):
                 raise EvalError(
                     f"input '{name}' has shape {value.shape}, expected {shape_of(t)}"
                 )
             scalar = scalar_of(t)
-            # An input is never a pair, so `_convert` cannot trap on it.
             value = _convert(value, scalar, kernel)
             if isinstance(scalar, IndexType):
                 _check_index(value, scalar, f"input '{name}'")

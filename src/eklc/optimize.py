@@ -224,17 +224,21 @@ def _try_lift(parent: Block, outer: Operation, fast_math: bool) -> None:
     memo: dict = {}
     loc = outer.location
 
-    lowered_summands = []
-    for sign, root in _summands(term, inside):
-        factors = []
-        for f in _product_factors(root, inside):
-            factors.append(
-                _Factor(
-                    used=_used_indices(f, index_args, inside, memo), value=f
-                )
-            )
-        factors = _peel(parent, outer, factors, inner_args, order, inside, loc)
-        lowered_summands.append((sign, factors))
+    summands = [
+        (sign, [
+            _Factor(used=_used_indices(f, index_args, inside, memo), value=f)
+            for f in _product_factors(root, inside)
+        ])
+        for sign, root in _summands(term, inside)
+    ]
+    if len(inner_args) == 1 and all(
+        inner_args[0] in f.used for _, factors in summands for f in factors
+    ):
+        return  # peeling would hoist a table equal to the nest itself
+    lowered_summands = [
+        (sign, _peel(parent, outer, factors, inner_args, order, inside, loc))
+        for sign, factors in summands
+    ]
 
     # Rebuild the outer association from the factored summands.
     new_block = Block([a.type for a in outer_args])

@@ -11,8 +11,8 @@ tensors use a textual sidecar format (magic `EKLR`) with one exact
 from __future__ import annotations
 
 import math
+import operator
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -62,28 +62,54 @@ _DTYPE_CODES: list[tuple[int, Type, np.dtype]] = [
 ]
 _CODE_BY_KIND = {kind: (code, dt) for code, kind, dt in _DTYPE_CODES}
 _KIND_BY_CODE = {code: (kind, dt) for code, kind, dt in _DTYPE_CODES}
-_FRACTION = np.frompyfunc(Fraction, 1, 1)
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
+# Exact (numerator, denominator) of each element, lowest terms and a
+# positive denominator: Fractions, ints and floats all provide it.
+_RATIO = np.frompyfunc(operator.methodcaller("as_integer_ratio"), 1, 2)
 
 
-@dataclass(frozen=True)
+def _ratio_of(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.asarray(a, dtype=object) for a in _RATIO(data))
+
+
 class TensorValue:
-    """A shaped runtime value: scalar kind, extents, row-major payload."""
+    """A shaped runtime value: scalar kind, extents, row-major payload.
 
-    kind: Type
-    shape: tuple[int, ...]
-    data: np.ndarray  # machine dtype, or object array of Fraction
+    `data` is an array of the machine dtype, or for a rational an object
+    array of `Fraction`. A rational may instead be given by its `ratio`:
+    object arrays of Python-int numerators and positive denominators. A
+    rational read from an EKLR file, or built by `from_runtime`, holds
+    only its ratio and builds its Fractions when `data` is first read."""
 
-    def __post_init__(self) -> None:
-        if self.data.shape != self.shape:
+    __slots__ = ("kind", "shape", "_data", "_ratio")
+
+    def __init__(self, kind: Type, shape: tuple[int, ...], data=None, ratio=None):
+        if (data if ratio is None else ratio[0]).shape != shape:
             raise ValueError("payload shape does not match extents")
+        self.kind = kind
+        self.shape = shape
+        self._data = data
+        self._ratio = ratio
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = np.asarray(_FRACTION(*self._ratio), dtype=object)
+        return self._data
+
+    def ratio(self) -> tuple[np.ndarray, np.ndarray]:
+        """Numerators and positive denominators of a rational payload."""
+        if self._ratio is None:
+            self._ratio = _ratio_of(self._data)
+        return self._ratio
 
     @staticmethod
     def from_runtime(value, declared: Type) -> "TensorValue":
         kind = scalar_of(declared)
         shape = shape_of(declared)
         if isinstance(kind, RationalType):
-            arr = _FRACTION(np.asarray(value, dtype=object).reshape(shape))
-            return TensorValue(kind, shape, np.asarray(arr, dtype=object))
+            ratio = _ratio_of(np.asarray(value, dtype=object).reshape(shape))
+            return TensorValue(kind, shape, ratio=ratio)
         if isinstance(kind, BoolType):
             return TensorValue(kind, shape, np.asarray(value, dtype=bool).reshape(shape))
         if isinstance(kind, FloatType):
@@ -169,10 +195,9 @@ def read_tensor(path: str) -> TensorValue:
 
 
 def _write_rational(path: str, t: TensorValue) -> None:
+    num, den = t.ratio()
     lines = ["EKLR 1", "rational", " ".join(str(e) for e in t.shape)]
-    for x in t.data.ravel() if t.shape else [t.data[()]]:
-        f = Fraction(x)
-        lines.append(f"{f.numerator}/{f.denominator}")
+    lines += [f"{n}/{d}" for n, d in zip(num.flat, den.flat)]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -199,12 +224,18 @@ def _read_rational(blob: bytes, path: str) -> TensorValue:
         raise TruncatedPayloadError(
             f"{path}: expected {count} rational entries, found {len(entries)}"
         )
-    values = []
+    nums, dens = [], []
     for entry in entries:
         num, _, den = entry.partition("/")
         try:
-            values.append(Fraction(int(num), int(den or "1")))
-        except (ValueError, ZeroDivisionError) as exc:
+            n, d = int(num), int(den or "1")
+        except ValueError as exc:
             raise TruncatedPayloadError(f"{path}: bad entry {entry!r}") from exc
-    data = np.array(values, dtype=object).reshape(shape)
-    return TensorValue(RATIONAL, shape, data)
+        if d <= 0:
+            if not d:
+                raise TruncatedPayloadError(f"{path}: bad entry {entry!r}")
+            n, d = -n, -d
+        nums.append(n)
+        dens.append(d)
+    ratio = tuple(np.array(a, dtype=object).reshape(shape) for a in (nums, dens))
+    return TensorValue(RATIONAL, shape, ratio=ratio)

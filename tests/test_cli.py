@@ -316,3 +316,24 @@ def test_a_source_that_is_not_utf8_is_an_io_error(tmp_path, capsys):
         main(["check", str(src)])
     assert exc.value.code == 3
     assert capsys.readouterr().err.startswith(f"error: cannot read {src}: ")
+
+
+@pytest.mark.parametrize(
+    "flag, name, role",
+    [("--in", "nosuch", "input"), ("--in", "y", "input"), ("--out", "nosuch", "output"),
+     ("--out", "x", "output")],
+)
+def test_a_binding_that_no_kernel_declares_is_refused(
+    flag, name, role, good, tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "t.eklt"
+
+    def no_call(*args):
+        raise AssertionError("a tensor was read or a kernel ran")
+
+    monkeypatch.setattr("eklc.cli.read_tensor", no_call)
+    monkeypatch.setattr("eklc.cli.eval_kernel", no_call)
+    assert main(["run", good, flag, f"{name}={path}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} names '{name}', which no kernel declares as an {role}\n"
+    assert not path.exists()

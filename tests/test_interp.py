@@ -469,3 +469,143 @@ def test_oracle_applies_declared_output_types(out_type, expected):
     got, _ = eval_kernel(kernel, inputs)
     assert want.dtype == expected.dtype and want.tolist() == expected.tolist()
     assert got["y"].dtype == expected.dtype and got["y"].tolist() == expected.tolist()
+
+
+# --- exact rationals over one denominator per array --------------------------
+
+
+@pytest.fixture
+def pair_forms(monkeypatch):
+    """Record the form of each pair that an op of the evaluator yields,
+    and check that every pair built on the way has positive denominators."""
+    forms = []
+    init = interp._Pair.__init__
+
+    def checked(self, num, den):
+        init(self, num, den)
+        assert (np.asarray(self.den) > 0).all()
+
+    def recorded(step):
+        def run(evaluator, op, env, grid):
+            step(evaluator, op, env, grid)
+            value = env.get(op.result) if op.results else None
+            if isinstance(value, interp._Pair):
+                forms.append("common" if value.is_common else "per-element")
+
+        return run
+
+    monkeypatch.setattr(interp._Pair, "__init__", checked)
+    monkeypatch.setattr(
+        interp, "_STEPS", {kind: recorded(step) for kind, step in interp._STEPS.items()}
+    )
+    return forms
+
+
+def _assert_matches_the_oracle(src, inputs_of, seeds=range(5)):
+    optimized = kernels_of(_module(src, "optimized"))[0]
+    typed = kernels_of(_module(src, "typed"))[0]
+    for seed in seeds:
+        inputs = inputs_of(typed, seed)
+        want = eval_ast_oracle(typed, inputs)
+        got, _ = eval_kernel(optimized, inputs)
+        for out in want:
+            assert np.shape(got[out]) == np.shape(want[out]), (out, seed)
+            assert np.ravel(got[out]).tolist() == np.ravel(want[out]).tolist(), (out, seed)
+
+
+def _random(kernel, seed):
+    return random_inputs(kernel, np.random.default_rng(seed))
+
+
+_AB = "in a: rational[6], in b: rational[6]"
+# Each kernel and the pair form its divisions and merges must keep.
+_PAIR_KERNELS = {
+    "divide_by_an_array": (
+        f"kernel k({_AB}, out y: rational[6], out t: rational[1]) "
+        "{ let y[i] = a[i] / (b[i] * b[i] + 1) + a[i] / (b[i] - 200); "
+        "let t[z] =+ (i) a[i] / (b[i] - 200); }",
+        "per-element",
+    ),
+    "divide_by_a_scalar": (
+        "kernel k(in a: rational[6], in s: rational, out y: rational[6]) "
+        "{ let y[i] = a[i] / (s * s + 1) - a[i] / (s - 200) + a[i] / -3; }",
+        "common",
+    ),
+    "choice_of_denominators": (
+        f"kernel k({_AB}, in c: si32[6], out y: rational[6]) "
+        "{ let y[i] = if (c[i] > 0) a[i] / 3 else b[i] + 1/7; }",
+        "common",
+    ),
+    "stack_of_denominators": (
+        f"kernel k({_AB}, in s: index<3>[6], out y: rational[6]) "
+        "{ let y[i] = (a[i] / 3, b[i] + 1/7, a[i] * b[i])[s[i]]; }",
+        "common",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_KERNELS))
+def test_each_pair_path_matches_the_oracle(name, pair_forms):
+    src, form = _PAIR_KERNELS[name]
+    _assert_matches_the_oracle(src, _random)
+    assert form in pair_forms
+    if form == "common":
+        assert "per-element" not in pair_forms
+
+
+def _signed(values, sign):
+    return np.array([sign * abs(x) for x in np.ravel(values)], dtype=object).reshape(
+        np.shape(values)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, sign", [(6, -1), (6, 0), (0, 1)], ids=["negative", "zero", "empty"]
+)
+def test_negative_zero_and_empty_arrays_match_the_oracle(n, sign, pair_forms):
+    # An axis of extent 0 cannot be indexed, so the empty arrays meet
+    # whole-array arithmetic only.
+    params = f"in a: rational[{n}], in b: rational[{n}], out w: rational[{n}]"
+    body = "let w = a * b - a / 2 + b;"
+    if n:
+        params += ", out y: rational[6], out t: rational[1]"
+        body += " let y[i] = a[i] * b[i] - a[i] / 2; let t[z] =+ (i) a[i] * b[i] + b[i];"
+    src = f"kernel k({params}) {{ {body} }}"
+    _assert_matches_the_oracle(
+        src,
+        lambda kernel, seed: {
+            k: _signed(v, sign) for k, v in _random(kernel, seed).items()
+        },
+    )
+    assert "per-element" not in pair_forms
+
+
+def _primes(count):
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_distinct_prime_denominators_keep_one_denominator_per_element(pair_forms):
+    primes = _primes(4000)
+
+    def inputs(kernel, seed):
+        rng = np.random.default_rng(seed)
+        return {
+            name: np.array(
+                [Fraction(int(rng.integers(-1000, 1001)), p) for p in ps], dtype=object
+            )
+            for name, ps in (("a", primes[:2000]), ("b", primes[2000:]))
+        }
+
+    src = (
+        "kernel k(in a: rational[2000], in b: rational[2000], out c: rational[2000]) "
+        "{ let c[i] = a[i] * b[i]; }"
+    )
+    _assert_matches_the_oracle(src, inputs)
+    assert not interp._Pair.of(inputs(None, 0)["a"]).is_common
+    assert set(pair_forms) == {"per-element"}

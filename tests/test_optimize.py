@@ -12,7 +12,7 @@ from eklc.interp import eval_module, kernels_of, random_inputs
 from eklc.ir import Block, Operation, Region, clone_op, walk_lexical
 from eklc.ir_text import print_ir
 from eklc.ops import is_plain_sum, make_sum
-from eklc.optimize import fuse_producers
+from eklc.optimize import fuse_producers, lift_reductions
 from eklc.pipeline import compile_source
 from eklc.typecheck import verify_semantic
 from eklc.types import EXPR, F32, ArrayType
@@ -183,3 +183,16 @@ def test_a_built_sum_is_a_plain_sum(source_type, scalar):
     """The parser's untyped sum and lifting's typed one are both plain."""
     source = Block([source_type]).args[0]
     assert is_plain_sum(make_sum(source, scalar, Location()))
+
+
+def test_lifting_declines_a_nest_that_peeling_cannot_shrink():
+    # One bound index that every factor of every summand reads: peeling
+    # would hoist a table equal to the nest itself.
+    src = (
+        "kernel k(in A: rational[3, 4], in B: rational[4, 3], out y: rational[3]) "
+        "{ let y[i] =+ (k) A[i, k] * B[k, i] - A[i, k]; }"
+    )
+    module = _compiled(src, stage="generators")
+    before = print_ir(module)
+    lift_reductions(module)
+    assert print_ir(module) == before

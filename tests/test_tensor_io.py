@@ -169,3 +169,29 @@ def test_negative_rational_extents_are_a_malformed_header(tmp_path, extents):
     path.write_text(f"EKLR 1\nrational\n{extents}\n1\n2\n3\n4\n")
     with pytest.raises(MalformedHeaderError, match="bad extents line"):
         read_tensor(path)
+
+
+def test_rational_entries_are_read_as_numerators_and_denominators(tmp_path):
+    path = tmp_path / "q.eklr"
+    path.write_text("EKLR 1\nrational\n2 2\n2/4\n-3\n1/-2\n0/5\n")
+    back = read_tensor(path)
+    num, den = back.ratio()
+    assert num.tolist() == [[2, -3], [-1, 0]] and den.tolist() == [[4, 1], [2, 5]]
+    want = [[Fraction(1, 2), Fraction(-3)], [Fraction(-1, 2), Fraction(0)]]
+    assert back.data.tolist() == want
+    assert all(type(x) is Fraction for x in back.data.flat)
+
+
+@pytest.mark.parametrize("entry", ["1/0", "x/2", "1/2/3"])
+def test_a_bad_rational_entry_is_a_truncated_payload(tmp_path, entry):
+    path = tmp_path / "q.eklr"
+    path.write_text(f"EKLR 1\nrational\n1\n{entry}\n")
+    with pytest.raises(TruncatedPayloadError, match="bad entry"):
+        read_tensor(path)
+
+
+def test_a_runtime_rational_is_written_in_lowest_terms(tmp_path):
+    path = tmp_path / "q.eklr"
+    value = np.array([Fraction(2, 4), 3, Fraction(-6, 9)], dtype=object)
+    write_tensor(path, TensorValue.from_runtime(value, ArrayType(RATIONAL, (3,))))
+    assert path.read_text() == "EKLR 1\nrational\n3\n1/2\n3/1\n-2/3\n"
