@@ -77,6 +77,9 @@ def _parse_bindings(pairs: list[str], flag: str) -> dict[str, str]:
         if not sep or not name or not path:
             print(f"error: {flag} expects NAME=PATH, got {item!r}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
+        if name in bindings:
+            print(f"error: {flag} binds '{name}' twice", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
         bindings[name] = path
     return bindings
 

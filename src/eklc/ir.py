@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .diagnostics import Diagnostic, Location, UNKNOWN_LOC, error
-from .types import Type, is_subtype
+from .types import Type
 
 
 # --- attributes -------------------------------------------------------------
@@ -215,8 +215,6 @@ class OpSignature:
     num_regions: int = 0
     verifier: Callable[[Operation], list[Diagnostic]] | None = None
     typing_rule: Callable | None = None  # (op, ctx) -> None
-    # (op, arg, new_type) -> bool; consulted when transmuting block args.
-    transmute_hook: Callable[[Operation, Value, Type], bool] | None = None
     is_container: bool = False  # may appear as a top-level module
 
 
@@ -328,46 +326,6 @@ def verify(module: Operation) -> list[Diagnostic]:
     if sig.verifier is not None:
         diags.extend(sig.verifier(module))
     return diags
-
-
-# --- transmutation ----------------------------------------------------------
-
-
-def transmute_value(v: Value, new_type: Type) -> Diagnostic | None:
-    """Replace a value's type in place; legal only when narrowing to a subtype.
-
-    Returns None on success, or a rejection diagnostic. Block-argument
-    transmutation consults the owning op's registered hook, which may veto
-    or atomically update synced attributes.
-    """
-    if not is_subtype(new_type, v.type):
-        return error(
-            _value_loc(v), f"cannot transmute {v.type} to non-subtype {new_type}"
-        )
-    if v.is_block_arg:
-        owner = v.owner.parent.parent if v.owner.parent else None
-        if owner is not None:
-            sig = REGISTRY.lookup(owner.kind)
-            hook = sig.transmute_hook if sig else None
-            if hook is None:
-                return error(
-                    owner.location,
-                    f"'{owner.kind}' does not support block-argument transmutation",
-                )
-            if not hook(owner, v, new_type):
-                return error(
-                    owner.location,
-                    f"'{owner.kind}' vetoed transmutation to {new_type}",
-                )
-    v.type = new_type
-    return None
-
-
-def _value_loc(v: Value) -> Location:
-    if isinstance(v.owner, Operation):
-        return v.owner.location
-    owner = v.owner.parent.parent if v.owner.parent else None
-    return owner.location if owner else UNKNOWN_LOC
 
 
 # --- structural equality and cloning ---------------------------------------

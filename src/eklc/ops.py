@@ -25,7 +25,7 @@ from .ir import (
     TypeAttr,
     Value,
 )
-from .typecheck import TypingContext, equiv, upper
+from .typecheck import TypingContext
 from .types import (
     BOOL,
     EXPR,
@@ -175,7 +175,7 @@ def _combine(ctx: TypingContext, types: list[Type], what: str) -> Type:
 
 def literal_rule(op: Operation, ctx: TypingContext) -> None:
     t = op.attrs["type"].value
-    ctx.deduce(op.result, equiv(t))
+    ctx.exact(op.result, t)
 
 
 def arith_rule(op: Operation, ctx: TypingContext) -> None:
@@ -200,14 +200,14 @@ def arith_rule(op: Operation, ctx: TypingContext) -> None:
                 raise ctx.contradict(
                     f"no broadcast shape for {samples[0]} and {samples[1]}"
                 )
-            ctx.deduce(op.result, equiv(with_shape(index, shape)))
+            ctx.exact(op.result, with_shape(index, shape))
             return
     samples = [_demote_index(s) for s in samples]
     result = _combine(ctx, samples, "arithmetic type")
     if op.kind == "ekl.div" and not isinstance(scalar_of(result), (FloatType, RationalType)):
         # True division: integer operands promote to f64, NumPy-style.
         result = with_shape(F64, shape_of(result))
-    ctx.deduce(op.result, equiv(result))
+    ctx.exact(op.result, result)
 
 
 def cmp_rule(op: Operation, ctx: TypingContext) -> None:
@@ -218,7 +218,7 @@ def cmp_rule(op: Operation, ctx: TypingContext) -> None:
         if not is_arithmetic_type(s) and not isinstance(scalar_of(s), BoolType):
             raise ctx.contradict(f"cannot compare values of type {s}")
     combined = _combine(ctx, [with_shape(RATIONAL, shape_of(s)) for s in samples], "broadcast shape")
-    ctx.deduce(op.result, equiv(with_shape(BOOL, shape_of(combined))))
+    ctx.exact(op.result, with_shape(BOOL, shape_of(combined)))
 
 
 def _subscript_slots(op: Operation) -> list[tuple[str, int]]:
@@ -311,8 +311,8 @@ def subscript_rule(op: Operation, ctx: TypingContext) -> None:
                     f"constant subscript {value} on axis {axis} is not an "
                     f"integer in [0, {extent})"
                 )
-        ctx.deduce(operand, upper(IndexType(extent)))
-    ctx.deduce(op.result, equiv(with_shape(src.scalar, tuple(kept))))
+        ctx.at_most(operand, IndexType(extent))
+    ctx.exact(op.result, with_shape(src.scalar, tuple(kept)))
 
 
 def stack_rule(op: Operation, ctx: TypingContext) -> None:
@@ -322,10 +322,10 @@ def stack_rule(op: Operation, ctx: TypingContext) -> None:
     combined = _combine(ctx, samples, "stack element type")
     scalar = scalar_of(combined)
     shape = shape_of(combined) + (len(op.operands),)
-    ctx.deduce(op.result, equiv(ArrayType(scalar, shape)))
+    ctx.exact(op.result, ArrayType(scalar, shape))
 
 
-def _choice_like_rule(op: Operation, ctx: TypingContext) -> None:
+def choice_rule(op: Operation, ctx: TypingContext) -> None:
     cond, a, b = op.operands
     cs = ctx.sample(cond)
     if cs is not None and not isinstance(scalar_of(cs), BoolType):
@@ -340,11 +340,11 @@ def _choice_like_rule(op: Operation, ctx: TypingContext) -> None:
             f"condition shape {shape_of(cs)} does not broadcast with "
             f"branch shape {shape_of(value)}"
         )
-    ctx.deduce(op.result, equiv(with_shape(scalar_of(value), shape)))
+    ctx.exact(op.result, with_shape(scalar_of(value), shape))
 
 
 def if_stmt_rule(op: Operation, ctx: TypingContext) -> None:
-    ctx.deduce(op.operands[0], upper(BOOL))
+    ctx.at_most(op.operands[0], BOOL)
 
 
 def _yield_operand(op: Operation, region: int = 0) -> Value:
@@ -361,10 +361,9 @@ def assoc_rule(op: Operation, ctx: TypingContext) -> None:
                 "assoc shape attribute rank does not match functor arity"
             )
         for arg, extent in zip(args, shape_attr.value):
-            ctx.deduce(arg, equiv(IndexType(max(extent, 1))))
+            ctx.exact(arg, IndexType(max(extent, 1)))
     # Downward: a known result array constrains the index space and element.
-    res = ctx.interval(op.result)
-    res_t = res.sample()
+    res_t = ctx.sample(op.result)
     if isinstance(res_t, ArrayType):
         if len(res_t.shape) != len(args):
             raise ctx.contradict(
@@ -372,8 +371,8 @@ def assoc_rule(op: Operation, ctx: TypingContext) -> None:
                 f"{len(args)} association indices"
             )
         for arg, extent in zip(args, res_t.shape):
-            ctx.deduce(arg, upper(IndexType(max(extent, 1))))
-        ctx.deduce(yielded, upper(res_t.scalar))
+            ctx.at_most(arg, IndexType(max(extent, 1)))
+        ctx.at_most(yielded, res_t.scalar)
     elif res_t is not None:
         raise ctx.contradict(f"assoc result must be an array, got {res_t}")
     # Upward: settled index bounds and element type determine the result.
@@ -386,7 +385,7 @@ def assoc_rule(op: Operation, ctx: TypingContext) -> None:
     if isinstance(elem, PseudoType):
         raise ctx.contradict("assoc functor cannot yield a pseudo value")
     shape = tuple(t.bound for t in arg_ts)
-    ctx.deduce(op.result, equiv(ArrayType(elem, shape)))
+    ctx.exact(op.result, ArrayType(elem, shape))
 
 
 def reduce_rule(op: Operation, ctx: TypingContext) -> None:
@@ -396,15 +395,15 @@ def reduce_rule(op: Operation, ctx: TypingContext) -> None:
     if not isinstance(src, ArrayType):
         raise ctx.contradict(f"reduce requires an array operand, got {src}")
     acc, elem = op.regions[0].block.args
-    ctx.deduce(acc, equiv(src.scalar))
-    ctx.deduce(elem, equiv(src.scalar))
-    ctx.deduce(_yield_operand(op), upper(src.scalar))
-    ctx.deduce(op.result, equiv(src.scalar))
+    ctx.exact(acc, src.scalar)
+    ctx.exact(elem, src.scalar)
+    ctx.at_most(_yield_operand(op), src.scalar)
+    ctx.exact(op.result, src.scalar)
 
 
 def output_rule(op: Operation, ctx: TypingContext) -> None:
     declared = op.attrs["type"].value
-    ctx.deduce(op.operands[0], upper(declared))
+    ctx.at_most(op.operands[0], declared)
 
 
 def cast_rule(op: Operation, ctx: TypingContext) -> None:
@@ -413,26 +412,7 @@ def cast_rule(op: Operation, ctx: TypingContext) -> None:
     if src is not None:
         if not is_arithmetic_type(src) and not isinstance(scalar_of(src), BoolType):
             raise ctx.contradict(f"cannot cast from non-numeric type {src}")
-    ctx.deduce(op.result, equiv(target))
-
-
-# --- transmutation hooks ----------------------------------------------------
-
-
-def _accept_transmute(op: Operation, arg: Value, new_type: Type) -> bool:
-    return True
-
-
-def _assoc_transmute(op: Operation, arg: Value, new_type: Type) -> bool:
-    """Keep the synced shape attribute consistent with the index arguments."""
-    if not isinstance(new_type, IndexType):
-        return False
-    attr = op.attrs.get("shape")
-    if isinstance(attr, ShapeAttr):
-        shape = list(attr.value)
-        shape[arg.index] = new_type.bound
-        op.attrs["shape"] = ShapeAttr(tuple(shape))
-    return True
+    ctx.exact(op.result, target)
 
 
 # --- registration -----------------------------------------------------------
@@ -473,7 +453,7 @@ _sig(
     typing_rule=cmp_rule,
 )
 _sig("ekl.stack", min_operands=1, max_operands=None, num_results=1, typing_rule=stack_rule)
-_sig("ekl.choice", min_operands=3, max_operands=3, num_results=1, typing_rule=_choice_like_rule)
+_sig("ekl.choice", min_operands=3, max_operands=3, num_results=1, typing_rule=choice_rule)
 _sig(
     "ekl.if_stmt",
     min_operands=1,
@@ -487,7 +467,6 @@ _sig(
     num_results=1,
     verifier=_verify_functor,
     typing_rule=assoc_rule,
-    transmute_hook=_assoc_transmute,
 )
 _sig(
     "ekl.reduce",
@@ -497,7 +476,6 @@ _sig(
     num_results=1,
     verifier=_verify_reduce,
     typing_rule=reduce_rule,
-    transmute_hook=_accept_transmute,
 )
 _sig("ekl.yield", min_operands=1, max_operands=1)
 _sig("ekl.output", min_operands=1, max_operands=1, verifier=_verify_output, typing_rule=output_rule)

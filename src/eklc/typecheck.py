@@ -1,17 +1,19 @@
 """Dialect-agnostic fix-point type checking.
 
-Values accumulate type bounds (unattainable > equivalent > lower > upper,
-most to least restrictive). Typing rules registered on op kinds observe the
-current bounds and add constraints; the checker meets bounds, re-runs the
-rules that read a refined value, and on success atomically materializes
-the deduced types via in-place transmutation.
+Each value's bound is an interval of types: an optional lower and upper
+sample. Typing rules registered on op kinds observe the current samples
+and deduce one of two things about a value: its exact type
+(`TypingContext.exact`), or a type it must fit (`TypingContext.at_most`).
+The checker meets each deduction into the value's interval, re-runs the
+rules that read a refined value, and on success materializes the deduced
+types by narrowing each value's type in place.
 
 Every op with a rule runs once from the seed. After that an op runs again
 only when a value it read at its last run has tightened: its
-`TypingContext` records each value the rule reads through `interval` or
-`sample`, and a tightened value re-enqueues exactly those readers. The op
-that only wrote a value is not re-run for it, so a rule that reads nothing
-it deduces (a literal, an output, an `if` condition) runs once. This is
+`TypingContext` records each value the rule reads through `sample`, and
+a tightened value re-enqueues exactly those readers. The op that only
+wrote a value is not re-run for it, so a rule that reads nothing it
+deduces (a literal, an output, an `if` condition) runs once. This is
 how MLIR's `DataFlowSolver` tracks the dependencies of a program point.
 It needs one invariant: a rule reads bounds only through its context,
 never through the checker's state or a value's interval directly; what
@@ -28,12 +30,11 @@ Kennedy, "Iterative Data-Flow Analysis, Revisited", 2004).
 
 from __future__ import annotations
 
-import enum
 import heapq
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Location, error
-from .ir import Operation, REGISTRY, Value, transmute_value, walk_lexical
+from .ir import Operation, REGISTRY, Value, walk_lexical
 from .types import (
     EXPR,
     RationalType,
@@ -43,59 +44,6 @@ from .types import (
     scalar_of,
     shape_of,
 )
-
-
-class BoundKind(enum.IntEnum):
-    """Ordered from least to most restrictive."""
-
-    UPPER = 0
-    LOWER = 1
-    EQUIVALENT = 2
-    UNATTAINABLE = 3
-
-
-@dataclass(frozen=True)
-class TypeBound:
-    """A set of admissible types, named by a sample and a predicate kind."""
-
-    kind: BoundKind
-    sample: Type | None = None
-
-    def __str__(self) -> str:
-        if self.kind is BoundKind.UNATTAINABLE:
-            return "unattainable"
-        name = {BoundKind.UPPER: "upper", BoundKind.LOWER: "lower", BoundKind.EQUIVALENT: "equiv"}
-        return f"{name[self.kind]}({self.sample})"
-
-
-# One bound per kind and type: types are unique, so a type is its own key.
-_UPPER: dict[Type, TypeBound] = {}
-_LOWER: dict[Type, TypeBound] = {}
-_EQUIV: dict[Type, TypeBound] = {}
-
-
-def upper(t: Type) -> TypeBound:
-    b = _UPPER.get(t)
-    if b is None:
-        b = _UPPER[t] = TypeBound(BoundKind.UPPER, t)
-    return b
-
-
-def lower(t: Type) -> TypeBound:
-    b = _LOWER.get(t)
-    if b is None:
-        b = _LOWER[t] = TypeBound(BoundKind.LOWER, t)
-    return b
-
-
-def equiv(t: Type) -> TypeBound:
-    b = _EQUIV.get(t)
-    if b is None:
-        b = _EQUIV[t] = TypeBound(BoundKind.EQUIVALENT, t)
-    return b
-
-
-UNATTAINABLE = TypeBound(BoundKind.UNATTAINABLE)
 
 
 # (t, u) -> _fits(t, u), memoized on the pair of unique types.
@@ -127,7 +75,7 @@ def _fits_uncached(t: Type, u: Type) -> bool:
 class Interval:
     """Strictest recorded constraint: at most one lower and one upper sample.
 
-    An equivalent bound is the collapsed case lower == upper.
+    An exact type is the collapsed case lower == upper.
     """
 
     lo: Type | None = None
@@ -136,24 +84,19 @@ class Interval:
     def is_equivalent(self) -> bool:
         return self.lo is not None and self.lo is self.hi
 
-    def as_bounds(self) -> list[TypeBound]:
-        if self.is_equivalent():
-            return [equiv(self.lo)]
-        out: list[TypeBound] = []
-        if self.lo is not None:
-            out.append(lower(self.lo))
-        if self.hi is not None:
-            out.append(upper(self.hi))
-        return out
-
     def sample(self) -> Type | None:
         """Most specific value-producing type admitted by the interval."""
         return self.lo if self.lo is not None else self.hi
 
     def __str__(self) -> str:
-        if self.lo is None and self.hi is None:
-            return "unbounded"
-        return " & ".join(str(b) for b in self.as_bounds())
+        if self.is_equivalent():
+            return f"equiv({self.lo})"
+        parts = []
+        if self.lo is not None:
+            parts.append(f"lower({self.lo})")
+        if self.hi is not None:
+            parts.append(f"upper({self.hi})")
+        return " & ".join(parts) or "unbounded"
 
 
 class ContradictionError(Exception):
@@ -165,19 +108,16 @@ class ContradictionError(Exception):
         self.location = location
 
 
-def meet_into(interval: Interval, bound: TypeBound) -> bool:
-    """Meet a new bound into an interval in place.
+def meet_into(interval: Interval, t: Type, exact: bool) -> bool:
+    """Meet `t` into an interval in place: as its type when `exact`,
+    otherwise as an upper bound (the value's type must fit `t`).
 
     Returns True when the interval became more restrictive. Raises
     ContradictionError when the admissible sets are disjoint or the
     intersection cannot be named by a single interval in the universe.
     """
-    if bound.kind is BoundKind.UNATTAINABLE:
-        raise ContradictionError("bound is unattainable")
-    t = bound.sample
-    assert t is not None
     changed = False
-    if bound.kind in (BoundKind.EQUIVALENT, BoundKind.LOWER):
+    if exact:
         # Keep the larger of two lower samples.
         if interval.lo is None or (interval.lo is not t and _fits(interval.lo, t)):
             if interval.hi is not None and not _fits(t, interval.hi):
@@ -188,23 +128,20 @@ def meet_into(interval: Interval, bound: TypeBound) -> bool:
             changed = True
         elif interval.lo is not t and not _fits(t, interval.lo):
             raise ContradictionError(
-                f"incompatible bounds {lower(t)} and {lower(interval.lo)}"
+                f"incompatible bounds lower({t}) and lower({interval.lo})"
             )
-    if bound.kind in (BoundKind.EQUIVALENT, BoundKind.UPPER):
-        # Keep the smaller of two upper samples.
-        if interval.hi is None or (interval.hi is not t and _fits(t, interval.hi)):
-            if interval.lo is not None and not _fits(interval.lo, t):
-                raise ContradictionError(
-                    f"lower bound {interval.lo} exceeds upper bound {t}"
-                )
-            interval.hi = t
-            changed = True
-        elif interval.hi is not t and not _fits(interval.hi, t):
+    # Keep the smaller of two upper samples.
+    if interval.hi is None or (interval.hi is not t and _fits(t, interval.hi)):
+        if interval.lo is not None and not _fits(interval.lo, t):
             raise ContradictionError(
-                f"incomparable upper bounds {t} and {interval.hi}"
+                f"lower bound {interval.lo} exceeds upper bound {t}"
             )
-    if bound.kind is BoundKind.EQUIVALENT and not interval.is_equivalent():
-        raise ContradictionError(f"equivalence {t} conflicts with {interval}")
+        interval.hi = t
+        changed = True
+    elif interval.hi is not t and not _fits(interval.hi, t):
+        raise ContradictionError(
+            f"incomparable upper bounds {t} and {interval.hi}"
+        )
     return changed
 
 
@@ -227,9 +164,9 @@ class TypingContext:
     """What a typing rule may observe and deduce.
 
     Rules are pure observations plus constraint additions; they never
-    mutate the IR. A rule reads bounds only through `interval` and
-    `sample`: each records the value it reads, so that the checker re-runs
-    the rule when that value tightens (see the module docstring).
+    mutate the IR. A rule reads bounds only through `sample`, which
+    records the value it reads, so that the checker re-runs the rule when
+    that value tightens (see the module docstring).
     """
 
     __slots__ = ("checker", "op", "deductions", "reads")
@@ -237,12 +174,8 @@ class TypingContext:
     def __init__(self, checker: "FixPointTypeChecker", op: Operation) -> None:
         self.checker = checker
         self.op = op
-        self.deductions: list[tuple[Value, TypeBound]] = []
+        self.deductions: list[tuple[Value, Type, bool]] = []
         self.reads: list[Value] = []
-
-    def interval(self, v: Value) -> Interval:
-        self.reads.append(v)
-        return self.checker.state.interval(v)
 
     def sample(self, v: Value) -> Type | None:
         """Best current guess for a value's type, or None if unconstrained."""
@@ -253,8 +186,13 @@ class TypingContext:
             return v.type
         return s
 
-    def deduce(self, v: Value, bound: TypeBound) -> None:
-        self.deductions.append((v, bound))
+    def exact(self, v: Value, t: Type) -> None:
+        """Deduce that `v` has type `t`."""
+        self.deductions.append((v, t, True))
+
+    def at_most(self, v: Value, t: Type) -> None:
+        """Deduce that `v`'s type fits `t`."""
+        self.deductions.append((v, t, False))
 
     def contradict(self, message: str) -> ContradictionError:
         return ContradictionError(message, self.op.location)
@@ -273,7 +211,7 @@ class FixPointTypeChecker:
     popping ops in post-order and re-running only the readers of a refined
     value (see the module docstring)."""
 
-    def __init__(self, module: Operation, iteration_ceiling: int | None = None):
+    def __init__(self, module: Operation):
         self.module = module
         self.state = CheckerState()
         ops = list(walk_lexical(module))
@@ -296,11 +234,7 @@ class FixPointTypeChecker:
         self.diagnostics: list[Diagnostic] = []
         # Bounds are monotone over a finite lattice: each value's interval
         # can tighten only a few times, so N ops admit a linear ceiling.
-        self.iteration_ceiling = (
-            iteration_ceiling
-            if iteration_ceiling is not None
-            else 32 * max(len(ops), 1) + 64
-        )
+        self.iteration_ceiling = 32 * max(len(ops), 1) + 64
 
     def _push(self, pos: int) -> None:
         if pos in self._queued or pos in self._failed or self._rules[pos] is None:
@@ -309,8 +243,8 @@ class FixPointTypeChecker:
         heapq.heappush(self._queue, pos)
 
     def seed(self) -> None:
+        """Pre-typed values (e.g. declared kernel arguments) seed the state."""
         for op in self._ops:
-            # Pre-typed values (e.g. declared kernel arguments) seed the state.
             for region in op.regions:
                 for arg in region.block.args:
                     if arg.type is not EXPR:
@@ -320,8 +254,6 @@ class FixPointTypeChecker:
                 if res.type is not EXPR:
                     self.state.interval(res).lo = res.type
                     self.state.interval(res).hi = res.type
-        for pos in range(len(self._by_pos)):
-            self._push(pos)
 
     def _invalidate(self, v: Value) -> None:
         """Re-enqueue every op that read `v` at its last run."""
@@ -332,13 +264,34 @@ class FixPointTypeChecker:
                 if last_run[pos] == run:
                     self._push(pos)
 
+    def step(self, pos: int) -> list[Value]:
+        """Run the rule of the op at `pos` and meet its deductions. Returns
+        the values that tightened; a contradiction fails the op."""
+        op = self._by_pos[pos]
+        ctx = TypingContext(self, op)
+        tightened = []
+        try:
+            self._rules[pos](op, ctx)
+            run = self._last_run[pos]
+            for v in ctx.reads:
+                self._readers.setdefault(v, []).append((pos, run))
+            for v, t, exact in ctx.deductions:
+                if v not in self._poisoned and meet_into(
+                    self.state.interval(v), t, exact
+                ):
+                    tightened.append(v)
+        except ContradictionError as exc:
+            self._fail(pos, exc)
+        return tightened
+
     def run(self) -> bool:
         """Iterate to fix-point. Returns True when no contradictions arose;
         reaching the iteration ceiling first is an error diagnostic."""
         self.seed()
+        for pos in range(len(self._by_pos)):
+            self._push(pos)
         queue, queued, failed = self._queue, self._queued, self._failed
         poisoned, state = self._poisoned, self.state
-        readers, last_run = self._readers, self._last_run
         while queue:
             if state.iterations >= self.iteration_ceiling:
                 self.diagnostics.append(
@@ -355,22 +308,11 @@ class FixPointTypeChecker:
                 # Re-enqueued by one of its own deductions before it failed.
                 continue
             state.iterations += 1
-            op = self._by_pos[pos]
-            if poisoned and any(v in poisoned for v in op.operands):
+            if poisoned and any(v in poisoned for v in self._by_pos[pos].operands):
                 continue  # suppress contradictions dependent on earlier ones
-            run = last_run[pos] = state.iterations
-            ctx = TypingContext(self, op)
-            try:
-                self._rules[pos](op, ctx)
-                for v in ctx.reads:
-                    readers.setdefault(v, []).append((pos, run))
-                for v, bound in ctx.deductions:
-                    if v in poisoned:
-                        continue
-                    if meet_into(state.interval(v), bound):
-                        self._invalidate(v)
-            except ContradictionError as exc:
-                self._fail(pos, exc)
+            self._last_run[pos] = state.iterations
+            for v in self.step(pos):
+                self._invalidate(v)
         return not self.diagnostics
 
     def _fail(self, pos: int, exc: ContradictionError) -> None:
@@ -383,7 +325,8 @@ class FixPointTypeChecker:
     # --- materialization ---------------------------------------------------
 
     def materialize(self) -> list[Diagnostic]:
-        """Atomically apply all deductions to the IR via transmutation.
+        """Atomically apply all deductions to the IR by narrowing each
+        value's type in place.
 
         Returns diagnostics; an internal error indicates a rule bug and is
         surfaced loudly rather than silently repaired.
@@ -408,15 +351,16 @@ class FixPointTypeChecker:
                     continue
                 if t is v.type:
                     continue
-                rejection = transmute_value(v, t)
-                if rejection is not None:
+                if not is_subtype(t, v.type):
                     diags.append(
                         error(
                             op.location,
                             f"internal error: materialization failed: "
-                            f"{rejection.message}",
+                            f"cannot transmute {v.type} to non-subtype {t}",
                         )
                     )
+                    continue
+                v.type = t
         return diags
 
 
@@ -437,39 +381,22 @@ def type_check(module: Operation) -> tuple[FixPointTypeChecker, list[Diagnostic]
 
 
 def verify_semantic(module: Operation) -> list[Diagnostic]:
-    """Re-run each op's rule against the concrete IR state.
+    """Run each op's rule once against the concrete IR state.
 
-    For a correctly typed module this produces no new deductions and no
-    contradictions; it is the local per-op type verifier.
+    For a correctly typed module this tightens no value and raises no
+    contradiction; it is the local per-op type verifier.
     """
     checker = FixPointTypeChecker(module)
-    # Seed every value's interval from its concrete type.
-    for op in walk_lexical(module):
-        for region in op.regions:
-            for arg in region.block.args:
-                iv = checker.state.interval(arg)
-                iv.lo = iv.hi = arg.type
-        for res in op.results:
-            iv = checker.state.interval(res)
-            iv.lo = iv.hi = res.type
-    diags: list[Diagnostic] = []
-    for op in walk_lexical(module):
-        sig = REGISTRY.lookup(op.kind)
-        if sig is None or sig.typing_rule is None:
+    checker.seed()
+    for pos, op in enumerate(checker._by_pos):
+        if checker._rules[pos] is None:
             continue
-        ctx = TypingContext(checker, op)
-        try:
-            sig.typing_rule(op, ctx)
-            for v, bound in ctx.deductions:
-                before = str(checker.state.interval(v))
-                if meet_into(checker.state.interval(v), bound):
-                    diags.append(
-                        error(
-                            op.location,
-                            f"local re-check refined a value from {before} "
-                            f"to {bound}: module is not fully typed",
-                        )
-                    )
-        except ContradictionError as exc:
-            diags.append(error(exc.location or op.location, exc.message))
-    return diags
+        for v in checker.step(pos):
+            checker.diagnostics.append(
+                error(
+                    op.location,
+                    f"local re-check refined a value to "
+                    f"{checker.state.bounds[v]}: module is not fully typed",
+                )
+            )
+    return checker.diagnostics

@@ -337,3 +337,19 @@ def test_a_binding_that_no_kernel_declares_is_refused(
     err = capsys.readouterr().err
     assert err == f"error: {flag} names '{name}', which no kernel declares as an {role}\n"
     assert not path.exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--in", "x"), ("--out", "y")])
+def test_a_name_bound_twice_is_refused(flag, name, good, tmp_path, monkeypatch, capsys):
+    first, second = tmp_path / "1.eklt", tmp_path / "2.eklt"
+
+    def no_call(*args):
+        raise AssertionError("a tensor was read or a kernel ran")
+
+    monkeypatch.setattr("eklc.cli.read_tensor", no_call)
+    monkeypatch.setattr("eklc.cli.eval_kernel", no_call)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", good, flag, f"{name}={first}", flag, f"{name}={second}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {flag} binds '{name}' twice\n"
+    assert not first.exists() and not second.exists()

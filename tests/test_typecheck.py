@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import os
 import re
 
@@ -12,13 +13,27 @@ from eklc.ir import REGISTRY, Operation, count_ops, walk_lexical
 from eklc.parser import parse_source
 from eklc.pipeline import compile_source
 from eklc.typecheck import (
-    BoundKind,
+    ContradictionError,
     FixPointTypeChecker,
+    Interval,
+    _fits,
+    meet_into,
     run_fixpoint,
     type_check,
     verify_semantic,
 )
-from eklc.types import EXPR, F32, F64, ArrayType, IndexType
+from eklc.types import (
+    BOOL,
+    EXPR,
+    F32,
+    F64,
+    RATIONAL,
+    SI8,
+    SI16,
+    SI32,
+    ArrayType,
+    IndexType,
+)
 from util_random import random_module
 
 
@@ -105,6 +120,13 @@ def test_verify_semantic_clean_after_check():
     assert verify_semantic(module) == []
 
 
+def test_verify_semantic_reports_an_unchecked_module():
+    module, diags = parse_source("kernel k(in a: f64[3], out y: f64[3]) { let y[i] = a[i]; }")
+    assert not diags
+    problems = verify_semantic(module)
+    assert problems and all("module is not fully typed" in d.message for d in problems)
+
+
 def test_iteration_ceiling_scales_with_module_size():
     module, _ = parse_source("kernel k(in a: f64, out y: f64) { let y = a; }")
     checker = FixPointTypeChecker(module)
@@ -113,7 +135,8 @@ def test_iteration_ceiling_scales_with_module_size():
 
 def test_iteration_ceiling_is_an_error_diagnostic():
     module, _ = parse_source("kernel k(in a: f64, out y: f64) { let y = a * 2; }")
-    checker = FixPointTypeChecker(module, iteration_ceiling=1)
+    checker = FixPointTypeChecker(module)
+    checker.iteration_ceiling = 1
     assert checker.run() is False
     assert checker.state.iterations == 1
     (diag,) = checker.diagnostics
@@ -130,10 +153,50 @@ def test_fixpoint_terminates_on_random_modules_within_ceiling():
         assert checker.state.iterations <= checker.iteration_ceiling
 
 
-def test_bound_kinds_are_ordered():
-    assert BoundKind.UPPER.value < BoundKind.LOWER.value
-    assert BoundKind.LOWER.value < BoundKind.EQUIVALENT.value
-    assert BoundKind.EQUIVALENT.value < BoundKind.UNATTAINABLE.value
+@pytest.mark.parametrize(
+    "lo, hi, t, exact, message",
+    [
+        (None, SI8, SI16, True, "lower bound si16 exceeds upper bound si8"),
+        (SI16, None, SI8, False, "lower bound si16 exceeds upper bound si8"),
+        (None, F32, SI32, False, "incomparable upper bounds si32 and f32"),
+        (SI32, None, F32, True, "incompatible bounds lower(f32) and lower(si32)"),
+    ],
+)
+def test_meet_into_reports_each_conflict(lo, hi, t, exact, message):
+    interval = Interval(lo, hi)
+    with pytest.raises(ContradictionError) as exc:
+        meet_into(interval, t, exact)
+    assert exc.value.message == message
+
+
+# Scalars and arrays over which `meet_into` is checked exhaustively.
+MEET_TYPES = [
+    BOOL, SI8, SI16, SI32, F32, F64, RATIONAL, IndexType(3), IndexType(8),
+    ArrayType(SI8, (2,)), ArrayType(F32, (2,)), ArrayType(F64, (2,)),
+    ArrayType(RATIONAL, (2,)), ArrayType(F64, (3,)), ArrayType(IndexType(4), (2,)),
+    EXPR,
+]
+
+
+def test_a_successful_meet_leaves_lower_fitting_upper():
+    """Over every interval whose lower sample fits its upper one, every
+    type and both deductions: a meet that succeeds keeps lower fitting
+    upper, and an exact one leaves the interval collapsed on its type."""
+    samples = [None] + MEET_TYPES
+    for lo, hi in itertools.product(samples, samples):
+        if lo is not None and hi is not None and not _fits(lo, hi):
+            continue
+        for t, exact in itertools.product(MEET_TYPES, (True, False)):
+            interval = Interval(lo, hi)
+            try:
+                changed = meet_into(interval, t, exact)
+            except ContradictionError:
+                continue
+            assert changed == ((interval.lo, interval.hi) != (lo, hi))
+            if interval.lo is not None and interval.hi is not None:
+                assert _fits(interval.lo, interval.hi), (lo, hi, t, exact)
+            if exact:
+                assert interval.lo is t and interval.hi is t, (lo, hi, t)
 
 
 @pytest.mark.parametrize(
@@ -203,6 +266,29 @@ CORPUS_ITERATIONS = {
     "mini/taumol_small.ekl": 27,
 }
 MODULE_ITERATIONS = 693
+# Iterations on each invalid corpus kernel, which stops with one error.
+INVALID_ITERATIONS = {
+    "oob_01.ekl": 10,
+    "oob_02.ekl": 5,
+    "oob_03.ekl": 6,
+    "oob_04.ekl": 8,
+    "oob_05.ekl": 3,
+    "oob_06.ekl": 8,
+    "oob_07.ekl": 9,
+    "oob_08.ekl": 5,
+    "oob_09.ekl": 10,
+    "oob_10.ekl": 5,
+    "oob_11.ekl": 8,
+    "oob_12.ekl": 12,
+    "oob_13.ekl": 17,
+    "oob_14.ekl": 5,
+    "oob_15.ekl": 2,
+    "oob_16.ekl": 15,
+    "oob_17.ekl": 11,
+    "oob_18.ekl": 16,
+    "oob_19.ekl": 11,
+    "oob_20.ekl": 10,
+}
 
 
 def _corpus_module(name: str):
@@ -220,12 +306,19 @@ def _corpus_module(name: str):
     return module
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS_ITERATIONS) + ["module"])
+@pytest.mark.parametrize(
+    "name",
+    sorted(CORPUS_ITERATIONS) + ["module"] + [f"invalid/{k}" for k in sorted(INVALID_ITERATIONS)],
+)
 def test_corpus_iteration_counts_are_pinned(name):
     module = _corpus_module(name)
-    expected = MODULE_ITERATIONS if name == "module" else CORPUS_ITERATIONS[name]
+    invalid = name.startswith("invalid/")
+    if invalid:
+        expected = INVALID_ITERATIONS[name.removeprefix("invalid/")]
+    else:
+        expected = MODULE_ITERATIONS if name == "module" else CORPUS_ITERATIONS[name]
     checker = run_fixpoint(module)
-    assert not checker.diagnostics
+    assert len(checker.diagnostics) == (1 if invalid else 0)
     assert checker.state.iterations == expected
 
 
