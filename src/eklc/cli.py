@@ -104,13 +104,13 @@ def cmd_dump(args) -> int:
 
 
 def cmd_run(args) -> int:
+    in_paths = _parse_bindings(args.inputs, "--in")
+    out_paths = _parse_bindings(args.outputs, "--out")
     source = _read_source(args.file)
     result = compile_source(source, args.file, fast_math=args.fast_math)
     failed = _emit(result.diagnostics + result.warnings, source)
     if failed or result.module is None:
         return EXIT_DIAGNOSTICS
-    in_paths = _parse_bindings(args.inputs, "--in")
-    out_paths = _parse_bindings(args.outputs, "--out")
     rng = np.random.default_rng(args.seed)
     kernels = kernels_of(result.module)
     # A name that no kernel declares, or an output that no file format

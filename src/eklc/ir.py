@@ -1,10 +1,11 @@
-"""Minimal extensible SSA IR: operations, single-block regions, values.
+"""Minimal extensible SSA IR: operations, blocks, values.
 
 Operations double as AST nodes and dataflow nodes. Operand edges always
 point at values defined earlier in canonical lexical order (or at enclosing
 block arguments), so the module is a DAG and dominance reduces to lexical
-order. Op kinds are registered in a static signature table that stands in
-for dialect registration.
+order. Of MLIR's structure the IR keeps only what EKL uses: a region is a
+single block, and an op has at most one result. Op kinds are registered in
+a static signature table that stands in for dialect registration.
 """
 
 from __future__ import annotations
@@ -66,17 +67,12 @@ class ShapeAttr(Attribute):
 class Value:
     """SSA value: either an op result or a block argument."""
 
-    __slots__ = ("type", "owner", "index", "uses")
+    __slots__ = ("type", "owner", "uses")
 
-    def __init__(self, type: Type, owner, index: int) -> None:
+    def __init__(self, type: Type, owner) -> None:
         self.type = type
         self.owner = owner  # Operation (result) or Block (argument)
-        self.index = index
         self.uses: list[tuple["Operation", int]] = []
-
-    @property
-    def is_block_arg(self) -> bool:
-        return isinstance(self.owner, Block)
 
     @property
     def defining_op(self) -> Optional["Operation"]:
@@ -88,19 +84,21 @@ class Value:
 
 
 class Block:
-    """Single basic block: typed arguments followed by an op list."""
+    """A region of an op: typed arguments followed by an op list. EKL
+    functors never branch, so each region is exactly one block, and the
+    block's parent is the op that owns it."""
 
     __slots__ = ("args", "ops", "parent")
 
     def __init__(self, arg_types: list[Type] | None = None) -> None:
         self.args: list[Value] = []
         self.ops: list[Operation] = []
-        self.parent: Region | None = None
+        self.parent: Operation | None = None
         for t in arg_types or []:
             self.add_arg(t)
 
     def add_arg(self, type: Type) -> Value:
-        v = Value(type, self, len(self.args))
+        v = Value(type, self)
         self.args.append(v)
         return v
 
@@ -115,29 +113,19 @@ class Block:
         return op
 
 
-class Region:
-    """Region with exactly one block (EKL functors never branch)."""
-
-    __slots__ = ("block", "parent")
-
-    def __init__(self, block: Block | None = None) -> None:
-        self.block = block or Block()
-        self.block.parent = self
-        self.parent: Operation | None = None
-
-
 class Operation:
-    """Generic IR node with a kind, operands, attributes, and regions."""
+    """Generic IR node with a kind, operands, attributes, regions (one
+    block each) and at most one result."""
 
-    __slots__ = ("kind", "operands", "attrs", "regions", "results", "location", "parent")
+    __slots__ = ("kind", "operands", "attrs", "regions", "result", "location", "parent")
 
     def __init__(
         self,
         kind: str,
         operands: list[Value] | None = None,
         attrs: dict[str, Attribute] | None = None,
-        regions: list[Region] | None = None,
-        result_types: list[Type] | None = None,
+        regions: list[Block] | None = None,
+        result_type: Type | None = None,
         location: Location = UNKNOWN_LOC,
     ) -> None:
         self.kind = kind
@@ -147,12 +135,10 @@ class Operation:
         self.operands: list[Value] = list(operands) if operands else []
         for idx, v in enumerate(self.operands):
             v.uses.append((self, idx))
-        self.regions: list[Region] = list(regions) if regions else []
-        for r in self.regions:
-            r.parent = self
-        self.results: list[Value] = (
-            [Value(t, self, i) for i, t in enumerate(result_types)] if result_types else []
-        )
+        self.regions: list[Block] = list(regions) if regions else []
+        for block in self.regions:
+            block.parent = self
+        self.result = None if result_type is None else Value(result_type, self)
 
     def add_operand(self, v: Value) -> None:
         idx = len(self.operands)
@@ -165,37 +151,18 @@ class Operation:
         self.operands[idx] = v
         v.uses.append((self, idx))
 
-    def add_region(self, r: Region) -> Region:
-        r.parent = self
-        self.regions.append(r)
-        return r
-
-    def add_result(self, t: Type) -> Value:
-        v = Value(t, self, len(self.results))
-        self.results.append(v)
-        return v
-
-    @property
-    def result(self) -> Value:
-        assert len(self.results) == 1, f"{self.kind} has {len(self.results)} results"
-        return self.results[0]
+    def add_region(self, block: Block) -> Block:
+        block.parent = self
+        self.regions.append(block)
+        return block
 
     def body(self, i: int = 0) -> Block:
-        return self.regions[i].block
+        return self.regions[i]
 
     def drop_operands(self) -> None:
         for idx, v in enumerate(self.operands):
             v.uses.remove((self, idx))
         self.operands = []
-
-    def __deepcopy__(self, memo: dict) -> "Operation":
-        """Copy the op tree as `clone_op` does: the copy has no parent, and
-        values defined outside the tree are shared, not copied."""
-        mapping: dict[Value, Value] = {}
-        clone = clone_op(self, mapping)
-        for old, new in mapping.items():
-            memo[id(old)] = new
-        return clone
 
     def __repr__(self) -> str:
         return f"<op {self.kind}>"
@@ -208,34 +175,17 @@ class Operation:
 class OpSignature:
     """Registered shape of an op kind, standing in for dialect registration."""
 
-    kind: str
     min_operands: int = 0
     max_operands: int | None = 0  # None means variadic
-    num_results: int = 0
+    num_results: int = 0  # 0 or 1
     num_regions: int = 0
     verifier: Callable[[Operation], list[Diagnostic]] | None = None
     typing_rule: Callable | None = None  # (op, ctx) -> None
     is_container: bool = False  # may appear as a top-level module
 
 
-class OpRegistry:
-    def __init__(self) -> None:
-        self._table: dict[str, OpSignature] = {}
-
-    def register(self, sig: OpSignature) -> OpSignature:
-        if sig.kind in self._table:
-            raise ValueError(f"op kind {sig.kind!r} already registered")
-        self._table[sig.kind] = sig
-        return sig
-
-    def lookup(self, kind: str) -> OpSignature | None:
-        return self._table.get(kind)
-
-    def kinds(self) -> list[str]:
-        return sorted(self._table)
-
-
-REGISTRY = OpRegistry()
+# Op kind -> signature; importing `eklc` registers the ekl dialect.
+REGISTRY: dict[str, OpSignature] = {}
 
 
 # --- traversal and verification --------------------------------------------
@@ -254,15 +204,15 @@ def walk_lexical(op: Operation) -> Iterator[Operation]:
         yield op
         regions = op.regions
         if regions:
-            for region in reversed(regions):
-                push(reversed(region.block.ops))
+            for block in reversed(regions):
+                push(reversed(block.ops))
 
 
 def _verify_block(block: Block, visible: set[Value], diags: list[Diagnostic]) -> None:
     scope = set(visible)
     scope.update(block.args)
     for op in block.ops:
-        sig = REGISTRY.lookup(op.kind)
+        sig = REGISTRY.get(op.kind)
         if sig is None:
             diags.append(error(op.location, f"unregistered op kind '{op.kind}'"))
         else:
@@ -282,12 +232,12 @@ def _verify_block(block: Block, visible: set[Value], diags: list[Diagnostic]) ->
                         ),
                     )
                 )
-            if len(op.results) != sig.num_results:
+            n = 0 if op.result is None else 1
+            if n != sig.num_results:
                 diags.append(
                     error(
                         op.location,
-                        f"'{op.kind}' has {len(op.results)} results, expected "
-                        f"{sig.num_results}",
+                        f"'{op.kind}' has {n} results, expected {sig.num_results}",
                     )
                 )
             if len(op.regions) != sig.num_regions:
@@ -305,15 +255,16 @@ def _verify_block(block: Block, visible: set[Value], diags: list[Diagnostic]) ->
                 diags.append(
                     error(op.location, f"'{op.kind}' operand does not dominate use")
                 )
-        for region in op.regions:
-            _verify_block(region.block, scope, diags)
-        scope.update(op.results)
+        for block in op.regions:
+            _verify_block(block, scope, diags)
+        if op.result is not None:
+            scope.add(op.result)
 
 
 def verify(module: Operation) -> list[Diagnostic]:
     """Structural verification; never aborts on the first error."""
     diags: list[Diagnostic] = []
-    sig = REGISTRY.lookup(module.kind)
+    sig = REGISTRY.get(module.kind)
     if sig is None:
         diags.append(error(module.location, f"unregistered op kind '{module.kind}'"))
         return diags
@@ -321,8 +272,8 @@ def verify(module: Operation) -> list[Diagnostic]:
         diags.append(
             error(module.location, f"'{module.kind}' is not a top-level container op")
         )
-    for region in module.regions:
-        _verify_block(region.block, set(), diags)
+    for block in module.regions:
+        _verify_block(block, set(), diags)
     if sig.verifier is not None:
         diags.extend(sig.verifier(module))
     return diags
@@ -341,19 +292,19 @@ def structurally_equal(a: Operation, b: Operation) -> bool:
     def eq_op(x: Operation, y: Operation) -> bool:
         if x.kind != y.kind or x.attrs != y.attrs:
             return False
-        if len(x.operands) != len(y.operands) or len(x.results) != len(y.results):
-            return False
-        if len(x.regions) != len(y.regions):
+        if len(x.operands) != len(y.operands) or len(x.regions) != len(y.regions):
             return False
         for vx, vy in zip(x.operands, y.operands):
             if mapping.get(vx) is not vy:
                 return False
-        for vx, vy in zip(x.results, y.results):
-            if vx.type != vy.type:
+        rx, ry = x.result, y.result
+        if rx is not None:
+            if ry is None or rx.type != ry.type:
                 return False
-            mapping[vx] = vy
-        for rx, ry in zip(x.regions, y.regions):
-            bx, by = rx.block, ry.block
+            mapping[rx] = ry
+        elif ry is not None:
+            return False
+        for bx, by in zip(x.regions, y.regions):
             if len(bx.args) != len(by.args) or len(bx.ops) != len(by.ops):
                 return False
             for vx, vy in zip(bx.args, by.args):
@@ -369,37 +320,39 @@ def structurally_equal(a: Operation, b: Operation) -> bool:
 
 
 def clone_op(op: Operation, mapping: dict[Value, Value]) -> Operation:
-    """Deep-copy an op, remapping operands through `mapping`.
+    """Copy an op and everything nested in it, remapping operands through
+    `mapping`. The copy has no parent.
 
     Values not present in the mapping are referenced as-is (out-of-tree
-    captures). Results and block args of the clone are recorded in the
+    captures). The result and block args of the copy are recorded in the
     mapping.
     """
+    result = op.result
     clone = Operation(
         op.kind,
         operands=[mapping.get(v, v) for v in op.operands],
         attrs=dict(op.attrs),
+        result_type=None if result is None else result.type,
         location=op.location,
     )
-    for r in op.regions:
-        new_block = Block()
-        for arg in r.block.args:
+    for block in op.regions:
+        new_block = clone.add_region(Block())
+        for arg in block.args:
             mapping[arg] = new_block.add_arg(arg.type)
-        clone.add_region(Region(new_block))
-        for nested in r.block.ops:
+        for nested in block.ops:
             new_block.append(clone_op(nested, mapping))
-    for res in op.results:
-        mapping[res] = clone.add_result(res.type)
+    if result is not None:
+        mapping[result] = clone.result
     return clone
 
 
 def erase_tree(op: Operation) -> None:
     """Erase an op and everything nested in it.
 
-    The op's own results must have no external uses; internal edges are
+    The op's own result must have no external uses; internal edges are
     unlinked so captured outer values do not retain stale uses.
     """
-    assert all(not r.uses for r in op.results), "erasing op tree with uses"
+    assert op.result is None or not op.result.uses, "erasing op tree with uses"
     for nested in walk_lexical(op):
         nested.drop_operands()
     if op.parent is not None:

@@ -1,7 +1,7 @@
 """Textual IR format (.eklir): printing and parsing.
 
 Ops print as `%r = ekl.kind(%a, %b) ({ region }) {attrs} : type`; the type
-annotation is omitted for results of the universal expression type. The
+annotation is omitted for a result of the universal expression type. The
 complete grammar ships in docs/ir-format.md. Parsing the printed form of a
 module reconstructs it up to structural identity (locations are re-derived
 from the text).
@@ -19,7 +19,6 @@ from .ir import (
     IntAttr,
     Operation,
     RationalAttr,
-    Region,
     ShapeAttr,
     StringAttr,
     TypeAttr,
@@ -80,18 +79,16 @@ class _Printer:
 
     def print_op(self, op: Operation, indent: int) -> None:
         pad = "  " * indent
-        parts = []
-        if op.results:
-            parts.append(", ".join(self.name(r) for r in op.results) + " = ")
-        parts.append(op.kind)
+        result = op.result
+        head = pad if result is None else f"{pad}{self.name(result)} = "
+        head += op.kind
         if op.operands:
-            parts.append("(" + ", ".join(self.name(v) for v in op.operands) + ")")
-        head = pad + "".join(parts)
+            head += "(" + ", ".join(self.name(v) for v in op.operands) + ")"
         if op.regions:
             head += " ("
             self.lines.append(head)
-            for i, region in enumerate(op.regions):
-                self.print_region(region, indent)
+            for i, block in enumerate(op.regions):
+                self.print_block(block, indent)
                 if i + 1 < len(op.regions):
                     self.lines[-1] += ","
             tail = pad + ")"
@@ -102,13 +99,12 @@ class _Printer:
                 f"{k} = {_attr_to_text(v)}" for k, v in sorted(op.attrs.items())
             )
             tail += " {" + attrs + "}"
-        if op.results and any(r.type != EXPR for r in op.results):
-            tail += " : " + ", ".join(str(r.type) for r in op.results)
+        if result is not None and result.type != EXPR:
+            tail += f" : {result.type}"
         self.lines.append(tail)
 
-    def print_region(self, region: Region, indent: int) -> None:
+    def print_block(self, block: Block, indent: int) -> None:
         pad = "  " * indent
-        block = region.block
         self.lines.append(pad + "{")
         if block.args:
             args = ", ".join(f"{self.name(a)}: {a.type}" for a in block.args)
@@ -283,7 +279,7 @@ class _IrParser:
             raise IrSyntaxError(tok.loc, f"undefined value {tok.text}")
         return v
 
-    def parse_region(self) -> Region:
+    def parse_block(self) -> Block:
         self.expect("{")
         block = Block()
         if self.peek().text == "^":
@@ -309,18 +305,12 @@ class _IrParser:
         while self.peek().text != "}":
             block.append(self.parse_op())
         self.expect("}")
-        return Region(block)
+        return block
 
     def parse_op(self) -> Operation:
-        result_names: list[_Token] = []
+        result_name = None
         if self.peek().kind == "value":
-            result_names.append(self.next())
-            while self.peek().text == ",":
-                self.next()
-                tok = self.next()
-                if tok.kind != "value":
-                    raise IrSyntaxError(tok.loc, "expected %N after ','")
-                result_names.append(tok)
+            result_name = self.next()
             self.expect("=")
         kind_tok = self.next()
         if kind_tok.kind != "ident":
@@ -344,7 +334,7 @@ class _IrParser:
         if self.peek().text == "(" and self.peek(1).text == "{":
             self.next()
             while True:
-                op.add_region(self.parse_region())
+                op.add_region(self.parse_block())
                 if self.peek().text == ",":
                     self.next()
                     continue
@@ -363,20 +353,15 @@ class _IrParser:
                 if self.peek().text == ",":
                     self.next()
             self.expect("}")
-        types: list[Type] = []
+        result_type = EXPR
         if self.peek().text == ":":
             self.next()
-            types.append(self.parse_type())
-            while self.peek().text == ",":
-                self.next()
-                types.append(self.parse_type())
-        while len(types) < len(result_names):
-            types.append(EXPR)
-        for name_tok, t in zip(result_names, types):
-            res = op.add_result(t)
-            if name_tok.text in self.values:
-                raise IrSyntaxError(name_tok.loc, f"redefinition of {name_tok.text}")
-            self.values[name_tok.text] = res
+            result_type = self.parse_type()
+        if result_name is not None:
+            if result_name.text in self.values:
+                raise IrSyntaxError(result_name.loc, f"redefinition of {result_name.text}")
+            op.result = Value(result_type, op)
+            self.values[result_name.text] = op.result
         return op
 
 

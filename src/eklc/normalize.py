@@ -77,9 +77,9 @@ Rule = Callable[[Operation], bool]
 def _dce_block(block: Block) -> None:
     """Erase unused ops, users before the ops they use."""
     for op in reversed(list(block.ops)):
-        for region in op.regions:
-            _dce_block(region.block)
-        if op.kind in _DCE_KEEP or any(r.uses for r in op.results):
+        for nested in op.regions:
+            _dce_block(nested)
+        if op.kind in _DCE_KEEP or (op.result is not None and op.result.uses):
             continue
         if op.kind == "ekl.if_stmt" and any(
             nested.kind == "ekl.output" for nested in walk_lexical(op)
@@ -102,8 +102,8 @@ def rewrite(module: Operation, rules: Iterable[Rule]) -> Operation:
         for rule in rules:
             if rule(op):
                 break
-    for region in module.regions:
-        _dce_block(region.block)
+    for block in module.regions:
+        _dce_block(block)
     return module
 
 
@@ -364,7 +364,7 @@ def _scalarize(op: Operation) -> bool:
             op.kind,
             operands=body_operands,
             attrs=op.attrs,
-            result_types=[scalar_of(rt)],
+            result_type=scalar_of(rt),
             location=loc,
         )
     block.append(scalar_op)
@@ -386,26 +386,25 @@ def _licm(module: Operation) -> None:
     for g in reversed(generators):
         block = g.body()
         inside: set[Value] = set(block.args)
-        for body_op in block.ops:
-            inside.update(body_op.results)
+        inside.update(body_op.result for body_op in block.ops)
         for body_op in list(block.ops[:-1]):
             if body_op.kind in ("ekl.literal", "ekl.yield"):
                 continue
             subtree = list(walk_lexical(body_op))
-            own = {v for nested in subtree for v in nested.results}
-            own.update(a for n in subtree for r in n.regions for a in r.block.args)
+            own = {nested.result for nested in subtree}
+            own.update(a for n in subtree for b in n.regions for a in b.args)
             deps = (v for nested in subtree for v in nested.operands)
             if any(v in inside and v not in own for v in deps):
                 continue
             block.ops.remove(body_op)
             g.parent.insert_before(g, body_op)
-            inside.difference_update(body_op.results)
+            inside.discard(body_op.result)
 
 
 def to_generator_form(module: Operation) -> Operation:
     """Lower all whole-array computation into generator trees."""
     rewrite(module, (_scalarize,))
     _licm(module)
-    for region in module.regions:
-        _dce_block(region.block)
+    for block in module.regions:
+        _dce_block(block)
     return module

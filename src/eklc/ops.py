@@ -1,8 +1,8 @@
 """The ekl op set: registered signatures, local verifiers, and typing rules.
 
-Expression-producing ops have exactly one result. Containers (program,
-kernel) hold single-block regions; generator ops (assoc, reduce) hold
-functor regions terminated by a yield.
+Expression-producing ops have a result; statements have none. Containers
+(program, kernel) hold one block each; generator ops (assoc, reduce) hold
+a functor block terminated by a yield.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .ir import (
     Operation,
     RationalAttr,
     REGISTRY,
-    Region,
     ShapeAttr,
     StringAttr,
     TypeAttr,
@@ -58,7 +57,7 @@ CMP_PREDICATES = ("eq", "ne", "lt", "le", "gt", "ge")
 
 
 def _verify_functor(op: Operation) -> list[Diagnostic]:
-    block = op.regions[0].block
+    block = op.body()
     if not block.ops or block.ops[-1].kind != "ekl.yield":
         return [error(op.location, f"'{op.kind}' region must end with ekl.yield")]
     return []
@@ -88,7 +87,7 @@ def _verify_kernel(op: Operation) -> list[Diagnostic]:
 
 def _verify_reduce(op: Operation) -> list[Diagnostic]:
     diags = _verify_functor(op)
-    if len(op.regions[0].block.args) != 2:
+    if len(op.body().args) != 2:
         diags.append(
             error(op.location, "reduce functor must take exactly two arguments")
         )
@@ -347,12 +346,12 @@ def if_stmt_rule(op: Operation, ctx: TypingContext) -> None:
     ctx.at_most(op.operands[0], BOOL)
 
 
-def _yield_operand(op: Operation, region: int = 0) -> Value:
-    return op.regions[region].block.ops[-1].operands[0]
+def _yield_operand(op: Operation) -> Value:
+    return op.body().ops[-1].operands[0]
 
 
 def assoc_rule(op: Operation, ctx: TypingContext) -> None:
-    args = op.regions[0].block.args
+    args = op.body().args
     yielded = _yield_operand(op)
     shape_attr = op.attrs.get("shape")
     if isinstance(shape_attr, ShapeAttr):
@@ -394,7 +393,7 @@ def reduce_rule(op: Operation, ctx: TypingContext) -> None:
         return
     if not isinstance(src, ArrayType):
         raise ctx.contradict(f"reduce requires an array operand, got {src}")
-    acc, elem = op.regions[0].block.args
+    acc, elem = op.body().args
     ctx.exact(acc, src.scalar)
     ctx.exact(elem, src.scalar)
     ctx.at_most(_yield_operand(op), src.scalar)
@@ -418,8 +417,8 @@ def cast_rule(op: Operation, ctx: TypingContext) -> None:
 # --- registration -----------------------------------------------------------
 
 
-def _sig(kind: str, **kw) -> OpSignature:
-    return REGISTRY.register(OpSignature(kind=kind, **kw))
+def _sig(kind: str, **kw) -> None:
+    REGISTRY[kind] = OpSignature(**kw)
 
 
 _sig("ekl.program", num_regions=1, is_container=True)
@@ -496,7 +495,7 @@ def make_literal(
     return Operation(
         "ekl.literal",
         attrs={"value": value, "type": TypeAttr(type)},
-        result_types=[EXPR],
+        result_type=EXPR,
         location=loc,
     )
 
@@ -537,8 +536,8 @@ def make_assoc(block: Block, result_type: Type, loc: Location) -> Operation:
     return Operation(
         "ekl.assoc",
         attrs=attrs,
-        regions=[Region(block)],
-        result_types=[result_type],
+        regions=[block],
+        result_type=result_type,
         location=loc,
     )
 
@@ -547,17 +546,15 @@ def make_sum(source: Value, scalar: Type, loc: Location) -> Operation:
     """A reduce that adds up the elements of `source` from 0; `scalar` is
     the type of its combiner arguments and of its result."""
     combiner = Block([scalar, scalar])
-    add = Operation(
-        "ekl.add", operands=combiner.args, result_types=[scalar], location=loc
-    )
+    add = Operation("ekl.add", operands=combiner.args, result_type=scalar, location=loc)
     combiner.append(add)
     combiner.append(make_yield(add.result, loc))
     return Operation(
         "ekl.reduce",
         operands=[source],
         attrs={"init": RationalAttr(Fraction(0))},
-        regions=[Region(combiner)],
-        result_types=[scalar],
+        regions=[combiner],
+        result_type=scalar,
         location=loc,
     )
 
@@ -567,7 +564,7 @@ def make_cast(value: Value, target: Type, loc: Location) -> Operation:
         "ekl.cast",
         operands=[value],
         attrs={"type": TypeAttr(target)},
-        result_types=[target],
+        result_type=target,
         location=loc,
     )
 
@@ -577,7 +574,7 @@ def make_subscript(
 ) -> Operation:
     """`source[slots...]` with result type `type`."""
     return Operation(
-        "ekl.subscript", operands=[source, *slots], result_types=[type], location=loc
+        "ekl.subscript", operands=[source, *slots], result_type=type, location=loc
     )
 
 

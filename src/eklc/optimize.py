@@ -58,8 +58,8 @@ from .types import (
 
 def _ops_inside(root: Operation) -> set[int]:
     ids = set()
-    for region in root.regions:
-        for op in region.block.ops:
+    for block in root.regions:
+        for op in block.ops:
             for nested in walk_lexical(op):
                 ids.add(id(nested))
     return ids
@@ -112,7 +112,7 @@ def _arith_value(block: Block, kind: str, loc, *operands: Value) -> Value:
     op = Operation(
         kind,
         operands=list(operands),
-        result_types=[promote(first, last) or first],
+        result_type=promote(first, last) or first,
         location=loc,
     )
     block.append(op)
@@ -361,10 +361,10 @@ def fuse_producers(module: Operation) -> Operation:
     uses of every other assoc as they were; so no op earlier in the walk can
     become fusable, and the walk goes on from the producer's index.
     """
-    for region in module.regions:
-        _fuse_in_block(region.block)
-    for region in module.regions:
-        _dce_block(region.block)
+    for block in module.regions:
+        _fuse_in_block(block)
+    for block in module.regions:
+        _dce_block(block)
     return module
 
 
@@ -374,8 +374,8 @@ def _fuse_in_block(block: Block) -> None:
         op = block.ops[i]
         if _fuse(op):
             continue
-        for region in op.regions:
-            _fuse_in_block(region.block)
+        for nested in op.regions:
+            _fuse_in_block(nested)
         i += 1
 
 
@@ -391,9 +391,7 @@ def _fuse(op: Operation) -> bool:
     # Bijective read: the consumer indexes the producer with exactly its
     # own enclosing index arguments, in order.
     enclosing = user.parent
-    if enclosing is None or enclosing.parent is None:
-        return False
-    owner = enclosing.parent.parent
+    owner = None if enclosing is None else enclosing.parent
     if owner is None or owner.kind != "ekl.assoc":
         return False
     if list(slots) != list(enclosing.args) or len(slots) != len(args):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .diagnostics import Diagnostic, Location, error
-from .ir import Block, Operation, Region, StringAttr, TypeAttr, Value
+from .ir import Block, Operation, StringAttr, TypeAttr, Value
 from .lexer import LexError, Token, tokenize
 from .normalize import SIMPLIFY_RULES, _exact_value, _try_choice, rewrite
 from .ops import (
@@ -133,9 +133,7 @@ class Parser:
     ) -> Value:
         """Append an expression op whose result is still untyped."""
         return self.emit(
-            Operation(
-                kind, operands=operands, attrs=attrs, result_types=[EXPR], location=loc
-            )
+            Operation(kind, operands=operands, attrs=attrs, result_type=EXPR, location=loc)
         )
 
     def bind(self, name: str, value: Value, loc: Location) -> None:
@@ -220,7 +218,7 @@ class Parser:
 
     def parse_program(self) -> Operation:
         loc = self.peek().loc
-        program = Operation("ekl.program", regions=[Region(Block())], location=loc)
+        program = Operation("ekl.program", regions=[Block()], location=loc)
         while self.peek().kind != "eof":
             if self.at("kernel"):
                 try:
@@ -240,7 +238,7 @@ class Parser:
         kernel = Operation(
             "ekl.kernel",
             attrs={"name": StringAttr(name.text)},
-            regions=[Region(block)],
+            regions=[block],
             location=loc,
         )
         parent.append(kernel)
@@ -422,7 +420,7 @@ class Parser:
         op = Operation(
             "ekl.if_stmt",
             operands=[cond],
-            regions=[Region(Block()), Region(Block())],
+            regions=[Block(), Block()],
             location=loc,
         )
         self.block.append(op)
@@ -538,7 +536,7 @@ def fold_constexpr(
     Returns the yielded literal's value, or None after recording
     diagnostics prefixed with the constant expression's location.
     """
-    container = Operation("ekl.program", regions=[Region(block)], location=loc)
+    container = Operation("ekl.program", regions=[block], location=loc)
     _, diags = type_check(container)
     if not diags:
         rewrite(container, SIMPLIFY_RULES + (_try_choice,))

@@ -17,11 +17,10 @@ Stages, in order:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
-from .ir import Operation
+from .ir import Operation, clone_op
 from .normalize import materialize_casts, simplify, to_generator_form
 from .optimize import optimize
 from .parser import parse_source
@@ -72,7 +71,8 @@ def _compile(
 
     Stops at the first stage that reports an error and drops the module.
     With `snapshots`, each stage after `ast` and before `stage` is saved
-    there as a deep copy.
+    there as a copy made by `clone_op`, which shares no op or value with
+    the module that the later passes go on to rewrite.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
@@ -85,7 +85,7 @@ def _compile(
             kept = result.warnings if d.severity == "warning" else result.diagnostics
             kept.append(d)
         if snapshots is not None and name != stage:
-            snapshots[name] = copy.deepcopy(module)
+            snapshots[name] = clone_op(module, {})
     if not result.ok:
         result.module = None
     return result
@@ -106,7 +106,8 @@ def compile_all_stages(
     filename: str = "<input>",
     fast_math: bool = False,
 ) -> tuple[dict[str, Operation], list[Diagnostic]]:
-    """Compile once, snapshotting a deep copy of the module at each stage.
+    """Compile once, snapshotting a copy (`clone_op`) of the module at each
+    stage.
 
     Returns an empty dict together with the diagnostics when any stage
     fails. The ``ast`` snapshot is omitted since its values carry no

@@ -34,7 +34,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Location, error
-from .ir import Operation, REGISTRY, Value, walk_lexical
+from .ir import Operation, REGISTRY, Value
 from .types import (
     EXPR,
     RationalType,
@@ -200,27 +200,37 @@ class TypingContext:
 
 def _walk_post_order(op: Operation, out: list[Operation]) -> None:
     """Append `op` after the contents of its regions."""
-    for region in op.regions:
-        for nested in region.block.ops:
+    for block in op.regions:
+        for nested in block.ops:
             _walk_post_order(nested, out)
     out.append(op)
+
+
+def _defined_values(op: Operation) -> list[Value]:
+    """The values `op` defines: its result, then its regions' arguments."""
+    values = [] if op.result is None else [op.result]
+    for block in op.regions:
+        values.extend(block.args)
+    return values
 
 
 class FixPointTypeChecker:
     """Applies typing rules until a fix-point or contradictions are reached,
     popping ops in post-order and re-running only the readers of a refined
-    value (see the module docstring)."""
+    value (see the module docstring).
+
+    `_by_pos` lists the module's ops in post-order; an op's position in it
+    keys its rule, its queue entry and its last run. Seeding and
+    materializing visit the ops in the same order."""
 
     def __init__(self, module: Operation):
         self.module = module
         self.state = CheckerState()
-        ops = list(walk_lexical(module))
-        self._ops = ops
         self._by_pos: list[Operation] = []
         _walk_post_order(module, self._by_pos)
         self._rules = []
         for op in self._by_pos:
-            sig = REGISTRY.lookup(op.kind)
+            sig = REGISTRY.get(op.kind)
             self._rules.append(None if sig is None else sig.typing_rule)
         self._queue: list[int] = []
         self._queued: set[int] = set()
@@ -234,7 +244,7 @@ class FixPointTypeChecker:
         self.diagnostics: list[Diagnostic] = []
         # Bounds are monotone over a finite lattice: each value's interval
         # can tighten only a few times, so N ops admit a linear ceiling.
-        self.iteration_ceiling = 32 * max(len(ops), 1) + 64
+        self.iteration_ceiling = 32 * max(len(self._by_pos), 1) + 64
 
     def _push(self, pos: int) -> None:
         if pos in self._queued or pos in self._failed or self._rules[pos] is None:
@@ -244,16 +254,11 @@ class FixPointTypeChecker:
 
     def seed(self) -> None:
         """Pre-typed values (e.g. declared kernel arguments) seed the state."""
-        for op in self._ops:
-            for region in op.regions:
-                for arg in region.block.args:
-                    if arg.type is not EXPR:
-                        self.state.interval(arg).lo = arg.type
-                        self.state.interval(arg).hi = arg.type
-            for res in op.results:
-                if res.type is not EXPR:
-                    self.state.interval(res).lo = res.type
-                    self.state.interval(res).hi = res.type
+        for op in self._by_pos:
+            for v in _defined_values(op):
+                if v.type is not EXPR:
+                    iv = self.state.interval(v)
+                    iv.lo = iv.hi = v.type
 
     def _invalidate(self, v: Value) -> None:
         """Re-enqueue every op that read `v` at its last run."""
@@ -318,8 +323,8 @@ class FixPointTypeChecker:
     def _fail(self, pos: int, exc: ContradictionError) -> None:
         self._failed.add(pos)
         op = self._by_pos[pos]
-        for res in op.results:
-            self._poisoned.add(res)
+        if op.result is not None:
+            self._poisoned.add(op.result)
         self.diagnostics.append(error(exc.location or op.location, exc.message))
 
     # --- materialization ---------------------------------------------------
@@ -332,11 +337,8 @@ class FixPointTypeChecker:
         surfaced loudly rather than silently repaired.
         """
         diags: list[Diagnostic] = []
-        for op in self._ops:
-            values = list(op.results)
-            for region in op.regions:
-                values.extend(region.block.args)
-            for v in values:
+        for op in self._by_pos:
+            for v in _defined_values(op):
                 iv = self.state.bounds.get(v)
                 t = iv.sample() if iv else None
                 if t is None:

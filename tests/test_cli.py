@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, corpus_path
 from eklc import pipeline
 from eklc.cli import main
 from eklc.tensor_io import TensorValue, read_tensor, write_tensor
@@ -73,6 +73,20 @@ def test_bad_binding_syntax_is_a_usage_error(good, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", good, "--in", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_bindings_are_checked_before_compiling(monkeypatch, capsys):
+    """A usage error is reported as one, not hidden behind the type error
+    of the kernel it names."""
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("the source was compiled")
+
+    monkeypatch.setattr("eklc.cli.compile_source", no_call)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", corpus_path("invalid", "oob_01.ekl"), "--in", "garbage"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: --in expects NAME=PATH, got 'garbage'\n"
 
 
 def test_dump_is_byte_stable(good, capsys):

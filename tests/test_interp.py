@@ -488,7 +488,7 @@ def pair_forms(monkeypatch):
     def recorded(step):
         def run(evaluator, op, env, grid):
             step(evaluator, op, env, grid)
-            value = env.get(op.result) if op.results else None
+            value = env.get(op.result)
             if isinstance(value, interp._Pair):
                 forms.append("common" if value.is_common else "per-element")
 

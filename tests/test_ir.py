@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,6 @@ from eklc.ir import (
     IntAttr,
     Operation,
     REGISTRY,
-    Region,
     StringAttr,
     clone_op,
     count_ops,
@@ -26,19 +28,19 @@ from eklc.types import EXPR, F64
 
 
 def _tiny_module():
-    program = Operation("ekl.program", regions=[Region(Block())])
+    program = Operation("ekl.program", regions=[Block()])
     block = Block()
     kernel = Operation(
         "ekl.kernel",
         attrs={"name": StringAttr("k")},
-        regions=[Region(block)],
+        regions=[block],
     )
     program.body().append(kernel)
     arg = block.add_arg(F64)
     kernel.attrs["in0"] = StringAttr("x")
     a = number_literal(2)
     block.append(a)
-    add = Operation("ekl.add", operands=[arg, a.result], result_types=[EXPR])
+    add = Operation("ekl.add", operands=[arg, a.result], result_type=EXPR)
     block.append(add)
     return program, kernel, block, arg, a, add
 
@@ -75,6 +77,31 @@ def test_verify_accepts_well_formed_and_rejects_bad_operand_order():
     assert verify(program) != []
 
 
+def test_verify_reports_a_result_count_mismatch():
+    program, _, block, arg, a, add = _tiny_module()
+    block.append(Operation("ekl.add", operands=[arg, a.result]))
+    block.append(Operation("ekl.yield", operands=[add.result], result_type=F64))
+    assert [d.message for d in verify(program)] == [
+        "'ekl.add' has 0 results, expected 1",
+        "'ekl.yield' has 1 results, expected 0",
+    ]
+
+
+def test_importing_eklc_registers_the_dialect():
+    """Verifying parsed IR needs no import of `eklc.ops` first."""
+    script = (
+        "from eklc.ir_text import parse_ir\n"
+        "from eklc.ir import verify\n"
+        "text = 'ekl.program ({ %0 = ekl.literal {type = rational, value = 1/2} : rational })'\n"
+        "print(verify(parse_ir(text)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_clone_op_maps_operands_and_results():
     program, _, block, arg, a, add = _tiny_module()
     mapping = {}
@@ -104,7 +131,7 @@ def test_structural_equality_is_shape_and_attr_sensitive():
 def test_documented_op_kinds_match_the_registry():
     doc = (Path(__file__).parent.parent / "docs" / "ir-format.md").read_text()
     section = doc.split("## Operations", 1)[1].split("\n## ", 1)[0]
-    assert sorted(set(re.findall(r"`(ekl\.[a-z_]+)`", section))) == REGISTRY.kinds()
+    assert sorted(set(re.findall(r"`(ekl\.[a-z_]+)`", section))) == sorted(REGISTRY)
 
 
 # Op kinds the dialect does not register, each as one op of a kernel body.

@@ -67,6 +67,8 @@ def test_parse_ir_rejects_malformed_text():
         parse_ir("ekl.program ( { %0 = ekl.add(%1) }")
     with pytest.raises(IrSyntaxError):
         parse_ir("not ir at all")
+    with pytest.raises(IrSyntaxError):
+        parse_ir("%0, %1 = ekl.program ({ })")
 
 
 @pytest.mark.parametrize(

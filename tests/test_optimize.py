@@ -9,7 +9,7 @@ import pytest
 from conftest import TESTS_DIR, corpus_source
 from eklc.diagnostics import Location
 from eklc.interp import eval_module, kernels_of, random_inputs
-from eklc.ir import Block, Operation, Region, clone_op, walk_lexical
+from eklc.ir import Block, Operation, clone_op, walk_lexical
 from eklc.ir_text import print_ir
 from eklc.ops import is_plain_sum, make_sum
 from eklc.optimize import fuse_producers, lift_reductions
@@ -160,7 +160,7 @@ def test_each_kernel_of_a_module_optimizes_as_it_does_alone():
     kernels = kernels_of(module)
     assert len(kernels) == len(sources)
     for source, kernel in zip(sources, kernels):
-        program = Operation("ekl.program", regions=[Region(Block())])
+        program = Operation("ekl.program", regions=[Block()])
         program.body().append(clone_op(kernel, {}))
         assert print_ir(program) == print_ir(_compiled(source)), source[:40]
 

@@ -132,9 +132,9 @@ def test_type_text_round_trip():
         ArrayType(F32, (2, 3)),
         ArrayType(IndexType(5), (4,)),
     ):
-        op = Operation("ekl.cast", attrs={"type": TypeAttr(t)}, result_types=[t])
+        op = Operation("ekl.cast", attrs={"type": TypeAttr(t)}, result_type=t)
         parsed = parse_ir(print_ir(op))
-        assert parsed.attrs["type"].value == t and parsed.results[0].type == t
+        assert parsed.attrs["type"].value == t and parsed.result.type == t
 
 
 def test_equal_types_are_one_instance():

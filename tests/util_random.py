@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from eklc.ir import Block, Operation, Region, StringAttr, TypeAttr, Value
+from eklc.ir import Block, Operation, StringAttr, TypeAttr, Value
 from eklc.ops import bool_literal, index_literal, number_literal
 from eklc.types import (
     EXPR,
@@ -44,7 +44,7 @@ def random_kernel(
     kernel = Operation(
         "ekl.kernel",
         attrs={"name": StringAttr(name)},
-        regions=[Region(block)],
+        regions=[block],
     )
     parent.append(kernel)
 
@@ -76,13 +76,13 @@ def random_kernel(
                 rt = broadcast_and_promote([ta, tb])
             except CombineError:
                 continue
-            op = Operation(kind, operands=[a, b], result_types=[EXPR])
+            op = Operation(kind, operands=[a, b], result_type=EXPR)
             block.append(op)
             pool.append((op.result, rt))
             ops_made += 1
         elif choice < 8:
             a, ta = pick()
-            op = Operation("ekl.neg", operands=[a], result_types=[EXPR])
+            op = Operation("ekl.neg", operands=[a], result_type=EXPR)
             block.append(op)
             pool.append((op.result, ta))
             ops_made += 1
@@ -97,7 +97,7 @@ def random_kernel(
                 block.append(lit)
                 slots.append(lit.result)
                 ops_made += 1
-            op = Operation("ekl.subscript", operands=[a] + slots, result_types=[EXPR])
+            op = Operation("ekl.subscript", operands=[a] + slots, result_type=EXPR)
             block.append(op)
             pool.append((op.result, scalar_of(ta)))
             ops_made += 1
@@ -119,7 +119,7 @@ def random_kernel(
 
 def random_module(rng: np.random.Generator, n_ops: int = 40) -> Operation:
     """A random well-formed program whose kernels total about n_ops ops."""
-    program = Operation("ekl.program", regions=[Region(Block())])
+    program = Operation("ekl.program", regions=[Block()])
     n_kernels = int(rng.integers(1, 4))
     per = max(1, n_ops // n_kernels)
     for i in range(n_kernels):
