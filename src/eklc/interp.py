@@ -26,9 +26,9 @@ delaying gcd work). An input, or a float cast to rational, is scaled once
 to the lcm of its denominators; an integer or a literal has denominator
 1, or that of the literal. Then `mul` and `neg` touch one object array,
 `add` and `sub` scale the numerators by two scalar quotients (none when
-the denominators are equal), a plain-sum reduction sums the numerators,
-comparisons cross-multiply, and `stack`, `choice` and gathers bring their
-operands to one denominator. A pair is brought toward lowest terms at
+the denominators are equal), a reduction sums the numerators, comparisons
+cross-multiply, and `stack`, `choice` and gathers bring their operands
+to one denominator. A pair is brought toward lowest terms at
 every reduction result and every assoc result of the kernel body by one
 gcd taken over its denominator and all its numerators. Two cases keep
 one denominator per element instead, and then every op works element by
@@ -37,14 +37,14 @@ has more than `_COMMON_BITS` (1024) bits, such as thousands of distinct
 prime denominators. The rule depends only on the value's denominators.
 
 A value crosses the kernel boundary with one conversion each way, by
-`_convert`, which also converts literals and reduction seeds. When the
-kernel starts, each input becomes a pair or an array of its declared
-machine dtype, and an index-typed input out of its range is a
-`BoundsTrap` naming the input; a rational input given by
-`rational_input` is a pair already, and no `Fraction` of it is built. At
-`ekl.output` the value becomes an array of the declared dtype (a NumPy
-scalar at rank 0), or reduced `Fraction`s for a rational, each built
-once.
+`_convert`, which also converts literals. When the kernel starts, each
+input becomes a pair or an array of its declared machine dtype, and an
+index-typed input out of its range is a `BoundsTrap` naming the input; a
+rational input given by `rational_input` is a pair already, and no
+`Fraction` of it is built. At `ekl.output` the value becomes an array of
+the declared dtype (a NumPy scalar at rank 0), or reduced `Fraction`s for
+a rational, each built once. A declared output that the body did not
+assign is an `EvalError` once the body has run.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ from .ir import (
     RationalAttr,
     Value,
     kernel_inputs,
+    kernel_outputs,
     kernels_of,
 )
-from .ops import is_plain_sum
 from .types import (
     F64,
     ArrayType,
@@ -407,13 +407,13 @@ def _folds(op: Operation) -> bool:
     )
 
 
-def _fold(acc, x, k: int, init):
+def _fold(acc, x, k: int):
     """Add the elements of `x` past its first `k` axes to `acc`, one at a
     time in element order, so a float sum is bit-identical to a sequential
-    loop. `acc` None starts from `init`."""
+    loop. `acc` None starts from 0."""
     mat = x.reshape(x.shape[:k] + (-1,))
     if acc is None:
-        acc = np.full(x.shape[:k], init, dtype=x.dtype)
+        acc = np.zeros(x.shape[:k], dtype=x.dtype)
     for t in range(mat.shape[-1]):
         acc = acc + mat[..., t]
     return acc
@@ -446,6 +446,9 @@ class _Evaluator:
                 _check_index(value, scalar, f"input '{name}'")
             env[arg] = value
         self._exec_block(block, env, ())
+        for name, _ in kernel_outputs(kernel):
+            if name not in self.outputs:
+                raise EvalError(f"{kernel.location}: output '{name}' was not assigned")
         return self.outputs
 
     def _exec_block(self, block: Block, env: dict, grid: tuple[int, ...]):
@@ -610,34 +613,28 @@ class _Evaluator:
         self.counters.intermediate_elements += _points(grid, op.result.type)
 
     def _reduce(self, op: Operation, env, grid) -> None:
-        """A plain sum over every element axis of the operand. Floats fold
-        in element order; a float assoc consumed only here is generated
-        and folded one slab at a time."""
+        """A sum over every element axis of the operand. Floats fold in
+        element order; a float assoc consumed only here is generated and
+        folded one slab at a time."""
         source = op.operands[0]
-        if not isinstance(source.type, ArrayType) or not is_plain_sum(op):
-            raise EvalError(f"{op.location}: only a plain sum can be reduced")
         rs, shape, k = scalar_of(op.result.type), source.type.shape, len(grid)
-        seed = _attr_value(op.attrs["init"])
-        init = _convert(np.asarray(seed), rs, op)
         producer = source.defining_op
         if not math.prod(shape):
-            out = _each(lambda a: a.reshape((1,) * k), init)
+            out = _convert(np.zeros((1,) * k, dtype=np.int64), rs, op)
         elif producer is not None and producer.kind == "ekl.assoc" and _folds(producer):
             out = None
             step = max(1, _SLAB_ELEMENTS // max(math.prod(grid + shape[1:]), 1))
             for start in range(0, shape[0], step):
                 rows = range(start, min(start + step, shape[0]))
-                out = _fold(out, self._generate(producer, env, grid, rows), k, init)
+                out = _fold(out, self._generate(producer, env, grid, rows), k)
             self.counters.intermediate_elements += _points(grid, source.type)
         else:
             x = _convert(_get(env, source, k, len(shape)), rs, op)
             if isinstance(rs, FloatType):
-                out = _fold(None, x, k, init)
+                out = _fold(None, x, k)
             else:
                 mat = _each(lambda a: a.reshape(a.shape[:k] + (-1,)), x)
                 out = mat.sum() if isinstance(mat, _Pair) else mat.sum(axis=-1)
-                if seed != 0:
-                    out = init + out
                 out = _convert(out, rs, op)
                 if isinstance(out, _Pair):
                     out = out.reduced()
@@ -890,14 +887,7 @@ def eval_ast_oracle(
                 out[idx] = run_block(op.body())
             env[op.result] = out
         elif kind == "ekl.reduce":
-            src = np.asarray(env[op.operands[0]])
-            acc = _attr_value(op.attrs["init"])
-            acc_arg, elem_arg = op.body().args
-            for x in src.flat:
-                env[acc_arg] = acc
-                env[elem_arg] = x
-                acc = run_block(op.body())
-            env[op.result] = acc
+            env[op.result] = sum(np.asarray(env[op.operands[0]]).flat, Fraction(0))
         elif kind == "ekl.cast":
             target = scalar_of(op.attrs["type"].value)
             value = env[op.operands[0]]

@@ -52,15 +52,6 @@ class TypeAttr(Attribute):
     value: Type
 
 
-@dataclass(frozen=True)
-class ShapeAttr(Attribute):
-    value: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.value):
-            raise ValueError("shape extents must be non-negative")
-
-
 # --- values and structure ---------------------------------------------------
 
 
@@ -248,7 +239,8 @@ def _verify_block(block: Block, visible: set[Value], diags: list[Diagnostic]) ->
                         f"{sig.num_regions}",
                     )
                 )
-            if sig.verifier is not None:
+            elif sig.verifier is not None:
+                # An op's own verifier may read the regions its kind declares.
                 diags.extend(sig.verifier(op))
         for v in op.operands:
             if v not in scope:

@@ -19,7 +19,6 @@ from .ir import (
     IntAttr,
     Operation,
     RationalAttr,
-    ShapeAttr,
     StringAttr,
     TypeAttr,
     Value,
@@ -60,8 +59,6 @@ def _attr_to_text(attr: Attribute) -> str:
         return '"' + attr.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(attr, TypeAttr):
         return str(attr.value)
-    if isinstance(attr, ShapeAttr):
-        return "[" + ", ".join(str(e) for e in attr.value) + "]"
     raise TypeError(f"unknown attribute {attr!r}")
 
 
@@ -258,15 +255,6 @@ class _IrParser:
                     raise IrSyntaxError(tok.loc, f"zero denominator in {value}/{den}")
                 return RationalAttr(Fraction(value, den))
             return IntAttr(value)
-        if tok.text == "[":
-            self.next()
-            extents = []
-            while self.peek().text != "]":
-                extents.append(self.expect_int())
-                if self.peek().text == ",":
-                    self.next()
-            self.expect("]")
-            return _checked(tok, ShapeAttr, tuple(extents))
         if tok.kind == "ident":
             return TypeAttr(self.parse_type())
         raise IrSyntaxError(tok.loc, f"expected an attribute, found {tok.text!r}")

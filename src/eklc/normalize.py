@@ -65,7 +65,6 @@ from .types import (
 )
 
 _ARITH = ("ekl.add", "ekl.sub", "ekl.mul", "ekl.div")
-_GENERATORS = ("ekl.assoc", "ekl.reduce")
 _DCE_KEEP = ("ekl.output", "ekl.yield", "ekl.kernel", "ekl.program")
 
 Rule = Callable[[Operation], bool]
@@ -377,13 +376,13 @@ def _licm(module: Operation) -> None:
     """Hoist functor-body ops whose whole subtree depends only on outer
     values.
 
-    One walk over the generators in reversed pre-order: a generator is
-    visited after every generator nested in it, so what an inner body
-    hoists into an enclosing body is there to move further out when the
-    enclosing generator is visited.
+    One walk over the assocs in reversed pre-order: an assoc is visited
+    after every assoc nested in it, so what an inner body hoists into an
+    enclosing body is there to move further out when the enclosing assoc
+    is visited.
     """
-    generators = [op for op in walk_lexical(module) if op.kind in _GENERATORS]
-    for g in reversed(generators):
+    assocs = [op for op in walk_lexical(module) if op.kind == "ekl.assoc"]
+    for g in reversed(assocs):
         block = g.body()
         inside: set[Value] = set(block.args)
         inside.update(body_op.result for body_op in block.ops)

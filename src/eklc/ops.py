@@ -1,8 +1,8 @@
 """The ekl op set: registered signatures, local verifiers, and typing rules.
 
 Expression-producing ops have a result; statements have none. Containers
-(program, kernel) hold one block each; generator ops (assoc, reduce) hold
-a functor block terminated by a yield.
+(program, kernel) hold one block each; an assoc holds a functor block
+terminated by a yield, and a reduce sums every element of its operand.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .ir import (
     Operation,
     RationalAttr,
     REGISTRY,
-    ShapeAttr,
     StringAttr,
     TypeAttr,
     Value,
@@ -45,6 +44,7 @@ from .types import (
     broadcast_shapes,
     index_add_bound,
     is_arithmetic_type,
+    is_numeric_scalar,
     scalar_of,
     shape_of,
     with_shape,
@@ -83,15 +83,6 @@ def _verify_kernel(op: Operation) -> list[Diagnostic]:
     if not isinstance(op.attrs.get("name"), StringAttr):
         return [error(op.location, "kernel requires a 'name' attribute")]
     return []
-
-
-def _verify_reduce(op: Operation) -> list[Diagnostic]:
-    diags = _verify_functor(op)
-    if len(op.body().args) != 2:
-        diags.append(
-            error(op.location, "reduce functor must take exactly two arguments")
-        )
-    return diags
 
 
 def _verify_output(op: Operation) -> list[Diagnostic]:
@@ -346,21 +337,10 @@ def if_stmt_rule(op: Operation, ctx: TypingContext) -> None:
     ctx.at_most(op.operands[0], BOOL)
 
 
-def _yield_operand(op: Operation) -> Value:
-    return op.body().ops[-1].operands[0]
-
-
 def assoc_rule(op: Operation, ctx: TypingContext) -> None:
-    args = op.body().args
-    yielded = _yield_operand(op)
-    shape_attr = op.attrs.get("shape")
-    if isinstance(shape_attr, ShapeAttr):
-        if len(shape_attr.value) != len(args):
-            raise ctx.contradict(
-                "assoc shape attribute rank does not match functor arity"
-            )
-        for arg, extent in zip(args, shape_attr.value):
-            ctx.exact(arg, IndexType(max(extent, 1)))
+    block = op.body()
+    args = block.args
+    yielded = block.ops[-1].operands[0]
     # Downward: a known result array constrains the index space and element.
     res_t = ctx.sample(op.result)
     if isinstance(res_t, ArrayType):
@@ -393,11 +373,11 @@ def reduce_rule(op: Operation, ctx: TypingContext) -> None:
         return
     if not isinstance(src, ArrayType):
         raise ctx.contradict(f"reduce requires an array operand, got {src}")
-    acc, elem = op.body().args
-    ctx.exact(acc, src.scalar)
-    ctx.exact(elem, src.scalar)
-    ctx.at_most(_yield_operand(op), src.scalar)
-    ctx.exact(op.result, src.scalar)
+    elem = src.scalar
+    # A sum of `index<N>` values reaches past N unless N is 1.
+    if not is_numeric_scalar(elem) or (isinstance(elem, IndexType) and elem.bound > 1):
+        raise ctx.contradict(f"cannot sum values of type {elem}")
+    ctx.exact(op.result, elem)
 
 
 def output_rule(op: Operation, ctx: TypingContext) -> None:
@@ -471,9 +451,7 @@ _sig(
     "ekl.reduce",
     min_operands=1,
     max_operands=1,
-    num_regions=1,
     num_results=1,
-    verifier=_verify_reduce,
     typing_rule=reduce_rule,
 )
 _sig("ekl.yield", min_operands=1, max_operands=1)
@@ -528,35 +506,18 @@ def make_yield(value: Value, loc: Location = Location()) -> Operation:
 
 
 def make_assoc(block: Block, result_type: Type, loc: Location) -> Operation:
-    """An assoc over the functor `block`. An array result type is mirrored
-    in the `shape` attribute; an untyped (`expr`) result has none yet."""
-    attrs = None
-    if isinstance(result_type, ArrayType):
-        attrs = {"shape": ShapeAttr(result_type.shape)}
+    """An assoc over the functor `block`."""
     return Operation(
         "ekl.assoc",
-        attrs=attrs,
         regions=[block],
         result_type=result_type,
         location=loc,
     )
 
 
-def make_sum(source: Value, scalar: Type, loc: Location) -> Operation:
-    """A reduce that adds up the elements of `source` from 0; `scalar` is
-    the type of its combiner arguments and of its result."""
-    combiner = Block([scalar, scalar])
-    add = Operation("ekl.add", operands=combiner.args, result_type=scalar, location=loc)
-    combiner.append(add)
-    combiner.append(make_yield(add.result, loc))
-    return Operation(
-        "ekl.reduce",
-        operands=[source],
-        attrs={"init": RationalAttr(Fraction(0))},
-        regions=[combiner],
-        result_type=scalar,
-        location=loc,
-    )
+def make_sum(source: Value, type: Type, loc: Location) -> Operation:
+    """The sum of every element of `source`, of result type `type`."""
+    return Operation("ekl.reduce", operands=[source], result_type=type, location=loc)
 
 
 def make_cast(value: Value, target: Type, loc: Location) -> Operation:
@@ -575,23 +536,4 @@ def make_subscript(
     """`source[slots...]` with result type `type`."""
     return Operation(
         "ekl.subscript", operands=[source, *slots], result_type=type, location=loc
-    )
-
-
-# --- structural queries -----------------------------------------------------
-
-
-def is_plain_sum(reduce_op: Operation) -> bool:
-    """Whether a reduce's combiner only adds its two arguments, in either
-    order, and yields the sum. The reduce's `init` is not consulted."""
-    body = reduce_op.body()
-    if len(body.ops) != 2 or len(body.args) != 2:
-        return False
-    add, yld = body.ops
-    args = list(body.args)
-    return (
-        add.kind == "ekl.add"
-        and list(add.operands) in (args, args[::-1])
-        and yld.kind == "ekl.yield"
-        and yld.operands[0] is add.result
     )

@@ -31,7 +31,6 @@ from .ir import (
 )
 from .normalize import _dce_block, _replace_with, _try_choice, rewrite
 from .ops import (
-    is_plain_sum,
     make_assoc,
     make_cast,
     make_subscript,
@@ -198,8 +197,6 @@ def _try_lift(parent: Block, outer: Operation, fast_math: bool) -> None:
         reduce_op is None
         or reduce_op.kind != "ekl.reduce"
         or reduce_op.parent is not body
-        or not is_plain_sum(reduce_op)
-        or reduce_op.attrs.get("init") != RationalAttr(Fraction(0))
     ):
         return
     inner = reduce_op.operands[0].defining_op

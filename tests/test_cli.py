@@ -237,6 +237,32 @@ def test_stats_reports_a_runtime_trap_without_a_traceback(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "body, name",
+    [
+        ("let y = a;", "z"),
+        # Seed 1 draws c false, so the branch that assigns z does not run.
+        ("let y = a; if (c) { let z = a; }", "z"),
+    ],
+    ids=["never", "in_a_branch_not_taken"],
+)
+def test_an_unassigned_output_is_reported(tmp_path, body, name):
+    src = tmp_path / "k.ekl"
+    src.write_text(
+        f"kernel k(in c: bool, in a: f64, out y: f64, out z: f64) {{\n  {body}\n}}\n"
+    )
+    out = tmp_path / f"{name}.eklt"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "eklc.cli", "run", str(src), "--seed", "1",
+         "--out", f"{name}={out}"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr == f"error: {src}:1:1: output '{name}' was not assigned\n"
+    assert not out.exists()
+
+
 def test_a_rational_cast_out_of_range_is_reported(tmp_path):
     src = tmp_path / "cast.ekl"
     src.write_text(

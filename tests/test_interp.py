@@ -314,26 +314,6 @@ def test_oracle_reports_division_by_zero_with_a_location():
         eval_ast_oracle(kernel, inputs)
 
 
-_NOT_A_SUM = """
-ekl.program (
-{
-  ekl.kernel (
-  {
-  ^(%0: array<f64[3]>):
-    %1 = ekl.reduce(%0) (
-    {
-    ^(%2: f64, %3: f64):
-      %4 = ekl.mul(%2, %3) : f64
-      ekl.yield(%4)
-    }
-    ) {init = 1/1} : f64
-    ekl.output(%1) {name = "y", type = f64}
-  }
-  ) {in0 = "a", name = "k", out0 = "y", out0_type = f64}
-}
-)
-"""
-
 _IF_IN_A_GENERATOR = """
 ekl.program (
 {
@@ -359,10 +339,9 @@ ekl.program (
 @pytest.mark.parametrize(
     "text, inputs, message",
     [
-        (_NOT_A_SUM, {"a": np.ones(3)}, "only a plain sum"),
         (_IF_IN_A_GENERATOR, {"a": np.ones(3, dtype=bool)}, "inside a generator"),
     ],
-    ids=["reduce_not_a_sum", "if_in_a_generator"],
+    ids=["if_in_a_generator"],
 )
 def test_ops_outside_the_grid_model_are_errors(text, inputs, message):
     kernel = kernels_of(parse_ir(text))[0]

@@ -87,6 +87,42 @@ def test_verify_reports_a_result_count_mismatch():
     ]
 
 
+# A sum as written before `ekl.reduce` lost its combiner region.
+_REDUCE_WITH_A_COMBINER = """
+ekl.program (
+{
+  ekl.kernel (
+  {
+  ^(%0: array<f64[3]>):
+    %1 = ekl.reduce(%0) (
+    {
+    ^(%2: f64, %3: f64):
+      %4 = ekl.mul(%2, %3) : f64
+      ekl.yield(%4)
+    }
+    ) {init = 1/1} : f64
+    ekl.output(%1) {name = "y", type = f64}
+  }
+  ) {in0 = "a", name = "k", out0 = "y", out0_type = f64}
+}
+)
+"""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ekl.program ({ %0 = ekl.assoc })", "'ekl.assoc' has 0 regions, expected 1"),
+        (_REDUCE_WITH_A_COMBINER, "'ekl.reduce' has 1 regions, expected 0"),
+    ],
+    ids=["assoc_without_a_region", "reduce_with_a_combiner"],
+)
+def test_verify_reports_a_region_count_mismatch(text, message):
+    """An op with the wrong number of regions is reported, and its own
+    verifier, which may read those regions, does not run."""
+    assert [d.message for d in verify(parse_ir(text))] == [message]
+
+
 def test_importing_eklc_registers_the_dialect():
     """Verifying parsed IR needs no import of `eklc.ops` first."""
     script = (
@@ -136,7 +172,7 @@ def test_documented_op_kinds_match_the_registry():
 
 # Op kinds the dialect does not register, each as one op of a kernel body.
 UNREGISTERED = {
-    "ekl.broadcast": "%2 = ekl.broadcast(%0) {shape = []} : f64",
+    "ekl.broadcast": "%2 = ekl.broadcast(%0) : f64",
     "ekl.if": "%2 = ekl.if(%1, %0, %0) : f64",
     "ekl.zip": "%2 = ekl.zip(%0) (\n{\n^(%3: f64):\n  ekl.yield(%3)\n}\n) : f64",
 }

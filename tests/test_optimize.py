@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import TESTS_DIR, corpus_source
-from eklc.diagnostics import Location
 from eklc.interp import eval_module, kernels_of, random_inputs
 from eklc.ir import Block, Operation, clone_op, walk_lexical
 from eklc.ir_text import print_ir
-from eklc.ops import is_plain_sum, make_sum
 from eklc.optimize import fuse_producers, lift_reductions
 from eklc.pipeline import compile_source
 from eklc.typecheck import verify_semantic
-from eklc.types import EXPR, F32, ArrayType
 
 SUMFACT = """
 kernel sumfact(
@@ -174,15 +171,6 @@ def test_generator_and_optimized_dumps_are_pinned(name, stage):
     text = print_ir(_compiled(corpus_source(f"{name}.ekl"), stage=stage))
     with open(os.path.join(TESTS_DIR, "golden", f"{name}.{stage}.eklir")) as f:
         assert text == f.read()
-
-
-@pytest.mark.parametrize(
-    "source_type,scalar", [(EXPR, EXPR), (ArrayType(F32, (3,)), F32)]
-)
-def test_a_built_sum_is_a_plain_sum(source_type, scalar):
-    """The parser's untyped sum and lifting's typed one are both plain."""
-    source = Block([source_type]).args[0]
-    assert is_plain_sum(make_sum(source, scalar, Location()))
 
 
 def test_lifting_declines_a_nest_that_peeling_cannot_shrink():

@@ -3,12 +3,11 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 from conftest import corpus_source
-from eklc.ir import RationalAttr, verify, walk_lexical
+from eklc.ir import verify, walk_lexical
 from eklc.parser import parse_source
 from eklc.types import EXPR, F64, ArrayType, IndexType
 
@@ -54,10 +53,8 @@ def test_esn_builds_nested_generators_with_reduction():
     assert len(assocs) == 2 and len(reduces) == 1
     outer, inner = assocs
     assert inner.parent is outer.body()
-    init = reduces[0].attrs["init"]
-    assert isinstance(init, RationalAttr) and init.value == Fraction(0)
-    combiner = reduces[0].body()
-    assert [op.kind for op in combiner.ops] == ["ekl.add", "ekl.yield"]
+    assert reduces[0].operands == [inner.result]
+    assert not reduces[0].regions and not reduces[0].attrs
 
 
 def test_outputs_emit_output_ops():

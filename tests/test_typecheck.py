@@ -243,6 +243,25 @@ def test_in_range_constant_subscript_slots_compile(body, expected):
     np.testing.assert_array_equal(outputs["y"], expected(A, 1.0, 2.0, 3.0))
 
 
+@pytest.mark.parametrize("element", ["bool", "index<4>"])
+def test_a_sum_of_values_that_cannot_be_added_is_refused(element):
+    """Bools are not arithmetic, and a sum of `index<N>` values reaches
+    past N when N > 1."""
+    src = f"kernel k(in a: {element}[3], out y: si64[1]) {{\n  let y[i] =+ (k) a[k];\n}}"
+    _, diags = _checked(src)
+    assert [d.message for d in diags] == [f"cannot sum values of type {element}"]
+    assert (diags[0].location.line, diags[0].location.col) == (2, 3)
+
+
+def test_a_sum_of_index_one_values_compiles():
+    result = compile_source(
+        "kernel k(in a: index<1>[3], out y: si64[1]) { let y[i] =+ (k) a[k]; }", "t.ekl"
+    )
+    assert not result.diagnostics, [str(d) for d in result.diagnostics]
+    outputs, _ = eval_module(result.module, {"a": np.zeros(3, dtype=np.int64)})
+    np.testing.assert_array_equal(outputs["y"], [0])
+
+
 INVALID = sorted(os.listdir(corpus_path("invalid")))
 
 
@@ -256,15 +275,15 @@ def test_each_invalid_kernel_reports_one_error(name):
 # Iterations of the fix-point checker on each valid corpus kernel, and on
 # one module that holds all of them.
 CORPUS_ITERATIONS = {
-    "convection.ekl": 360,
-    "elliptic_d.ekl": 76,
-    "elliptic_r.ekl": 62,
-    "inv_helm.ekl": 18,
-    "taumol_sw.ekl": 105,
-    "mini/convection_l5.ekl": 45,
-    "mini/taumol_small.ekl": 27,
+    "convection.ekl": 324,
+    "elliptic_d.ekl": 74,
+    "elliptic_r.ekl": 56,
+    "inv_helm.ekl": 16,
+    "taumol_sw.ekl": 99,
+    "mini/convection_l5.ekl": 43,
+    "mini/taumol_small.ekl": 25,
 }
-MODULE_ITERATIONS = 693
+MODULE_ITERATIONS = 637
 # Iterations on each invalid corpus kernel, which stops with one error.
 INVALID_ITERATIONS = {
     "oob_01.ekl": 10,
@@ -275,16 +294,16 @@ INVALID_ITERATIONS = {
     "oob_06.ekl": 8,
     "oob_07.ekl": 9,
     "oob_08.ekl": 5,
-    "oob_09.ekl": 10,
+    "oob_09.ekl": 8,
     "oob_10.ekl": 5,
     "oob_11.ekl": 8,
     "oob_12.ekl": 12,
-    "oob_13.ekl": 17,
+    "oob_13.ekl": 15,
     "oob_14.ekl": 5,
     "oob_15.ekl": 2,
-    "oob_16.ekl": 15,
+    "oob_16.ekl": 13,
     "oob_17.ekl": 11,
-    "oob_18.ekl": 16,
+    "oob_18.ekl": 14,
     "oob_19.ekl": 11,
     "oob_20.ekl": 10,
 }
