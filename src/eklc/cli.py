@@ -84,6 +84,12 @@ def _parse_bindings(pairs: list[str], flag: str) -> dict[str, str]:
     return bindings
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        print(f"error: --seed expects a non-negative integer, got {seed}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
 def cmd_check(args) -> int:
     source = _read_source(args.file)
     result = compile_source(source, args.file, stage="typed")
@@ -106,6 +112,7 @@ def cmd_dump(args) -> int:
 def cmd_run(args) -> int:
     in_paths = _parse_bindings(args.inputs, "--in")
     out_paths = _parse_bindings(args.outputs, "--out")
+    _check_seed(args.seed)
     source = _read_source(args.file)
     result = compile_source(source, args.file, fast_math=args.fast_math)
     failed = _emit(result.diagnostics + result.warnings, source)
@@ -219,6 +226,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _check_seed(args.seed)
     source = _read_source(args.file)
     stages, diags = compile_all_stages(source, args.file, fast_math=args.fast_math)
     failed = _emit(diags, source)

@@ -66,6 +66,7 @@ from .ir import (
     kernel_outputs,
     kernels_of,
 )
+from .ops import expanded_slots
 from .types import (
     F64,
     ArrayType,
@@ -73,7 +74,6 @@ from .types import (
     FloatType,
     IndexType,
     IntType,
-    PseudoType,
     RationalType,
     Type,
     scalar_of,
@@ -246,13 +246,18 @@ class _Pair:
         Fraction: floats round correctly and integers truncate toward
         zero. A value the kind cannot hold raises OverflowError."""
         if isinstance(scalar, FloatType):
-            out = np.asarray(self.num / self.den)
-        elif isinstance(scalar, BoolType):
-            out = np.asarray(self.num != 0)
-        else:
-            q = np.abs(self.num) // self.den
-            out = np.where(self.num < 0, -q, q)
-        return out.astype(dtype_for(scalar))
+            out = np.asarray(self.num / self.den, dtype=np.float64)
+            with np.errstate(over="ignore"):
+                out = out.astype(dtype_for(scalar), copy=False)
+            if np.isinf(out).any():
+                raise OverflowError
+            return out
+        if isinstance(scalar, BoolType):
+            return np.asarray(self.num != 0)
+        # Truncate on Python ints: `astype` then raises on a value out of
+        # range, where a machine integer would wrap.
+        q = np.asarray(np.abs(self.num) // self.den, dtype=object)
+        return np.where(self.num < 0, -q, q).astype(dtype_for(scalar))
 
     def __neg__(self) -> _Pair:
         return _Pair(-self.num, self.den)
@@ -463,12 +468,8 @@ class _Evaluator:
         return None
 
     def _literal(self, op: Operation, env, grid) -> None:
-        t = op.attrs["type"].value
-        if isinstance(t, PseudoType):
-            env[op.result] = t
-            return
         value = np.asarray(_attr_value(op.attrs["value"]))
-        x = _convert(value, scalar_of(t), op)
+        x = _convert(value, scalar_of(op.result.type), op)
         env[op.result] = _each(lambda a: a.reshape((1,) * len(grid) + a.shape), x)
 
     def _arith(self, op: Operation, env, grid) -> None:
@@ -524,12 +525,12 @@ class _Evaluator:
 
     def _subscript(self, op: Operation, env, grid) -> None:
         """Index the source's own grid axes by the grid, and each element
-        axis by its slot: an index value, or `:` and `...`, which keep
-        axes after the grid axes of the result, in order."""
+        axis by its slot: an index value, or a whole axis, kept after the
+        grid axes of the result, in order."""
         rt = op.result.type
         k, kept = len(grid), shape_of(rt)
         width = k + len(kept)
-        source, *slots = op.operands
+        source = op.operands[0]
         src = env[source]
         rank = len(shape_of(source.type))
         lead = src.ndim - rank
@@ -537,18 +538,15 @@ class _Evaluator:
             np.arange(n).reshape(_axis(i, n, width))
             for i, n in enumerate(src.shape[:lead])
         ]
-        axis, out_axis = lead, k
-        for v in slots:
-            s = env[v]
-            if isinstance(s, PseudoType):
-                # `...` keeps the axes that no other slot names.
-                for _ in range(rank - len(slots) + 1 if s.kind == "..." else 1):
-                    n = src.shape[axis]
-                    key.append(np.arange(n).reshape(_axis(out_axis, n, width)))
-                    axis += 1
-                    out_axis += 1
+        out_axis = k
+        indices = iter(op.operands[1:])
+        for axis, kind in enumerate(expanded_slots(op, rank), start=lead):
+            if kind == ":":
+                n = src.shape[axis]
+                key.append(np.arange(n).reshape(_axis(out_axis, n, width)))
+                out_axis += 1
                 continue
-            idx = _get(env, v, k, len(kept))
+            idx = _get(env, next(indices), k, len(kept))
             if isinstance(idx, _Pair):
                 idx = idx.to(IntType(64))
             if ((idx < 0) | (idx >= src.shape[axis])).any():
@@ -557,7 +555,6 @@ class _Evaluator:
                     f"{src.shape[axis]}"
                 )
             key.append(idx)
-            axis += 1
         self.counters.gather_reads += _points(grid, rt)
         env[op.result] = _each(lambda a: a[tuple(key)], src)
 
@@ -577,7 +574,7 @@ class _Evaluator:
         env[op.result] = _each(lambda a, b: np.where(cond, a, b), a, b)
 
     def _cast(self, op: Operation, env, grid) -> None:
-        target = op.attrs["type"].value
+        target = op.result.type
         scalar, shape, k = scalar_of(target), shape_of(target), len(grid)
         x = _convert(_get(env, op.operands[0], k, len(shape)), scalar, op)
         if isinstance(scalar, IndexType):
@@ -804,16 +801,13 @@ def eval_ast_oracle(
     def step(op: Operation) -> None:
         kind = op.kind
         if kind == "ekl.literal":
-            t = op.attrs["type"].value
-            if isinstance(t, PseudoType):
-                env[op.result] = t
-            else:
-                value = _attr_value(op.attrs["value"])
-                if isinstance(t, BoolType):
-                    value = bool(value)
-                elif isinstance(t, IndexType):
-                    value = int(value)
-                env[op.result] = value
+            t = op.result.type
+            value = _attr_value(op.attrs["value"])
+            if isinstance(t, BoolType):
+                value = bool(value)
+            elif isinstance(t, IndexType):
+                value = int(value)
+            env[op.result] = value
         elif kind in _ARITH_FUNCS:
             a, b = _align(env[op.operands[0]], env[op.operands[1]])
             if kind == "ekl.div" and not (_holds_fractions(a) or _holds_fractions(b)):
@@ -836,30 +830,18 @@ def eval_ast_oracle(
         elif kind == "ekl.subscript":
             src = np.asarray(env[op.operands[0]])
             key: list = []
-            slots = [env[v] for v in op.operands[1:]]
-            fixed = sum(
-                1
-                for s in slots
-                if not (isinstance(s, PseudoType) and s.kind == "...")
-            )
-            axis = 0
-            for s in slots:
-                if isinstance(s, PseudoType) and s.kind == "...":
-                    for _ in range(src.ndim - fixed):
-                        key.append(slice(None))
-                        axis += 1
-                elif isinstance(s, PseudoType) and s.kind == ":":
+            indices = iter(op.operands[1:])
+            for axis, kind in enumerate(expanded_slots(op, src.ndim)):
+                if kind == ":":
                     key.append(slice(None))
-                    axis += 1
-                else:
-                    i = int(s)
-                    if not 0 <= i < src.shape[axis]:
-                        raise BoundsTrap(
-                            f"{op.location}: index {i} out of range for axis "
-                            f"of extent {src.shape[axis]}"
-                        )
-                    key.append(i)
-                    axis += 1
+                    continue
+                i = int(env[next(indices)])
+                if not 0 <= i < src.shape[axis]:
+                    raise BoundsTrap(
+                        f"{op.location}: index {i} out of range for axis "
+                        f"of extent {src.shape[axis]}"
+                    )
+                key.append(i)
             result = src[tuple(key)]
             if isinstance(result, np.ndarray) and result.ndim == 0:
                 result = result[()]
@@ -889,7 +871,7 @@ def eval_ast_oracle(
         elif kind == "ekl.reduce":
             env[op.result] = sum(np.asarray(env[op.operands[0]]).flat, Fraction(0))
         elif kind == "ekl.cast":
-            target = scalar_of(op.attrs["type"].value)
+            target = scalar_of(op.result.type)
             value = env[op.operands[0]]
             if isinstance(target, FloatType):
                 env[op.result] = (

@@ -25,11 +25,9 @@ from .ir import (
 )
 from .types import (
     BOOL,
-    ELLIPSIS,
     EXPR,
     F32,
     F64,
-    IDENTITY,
     RATIONAL,
     SI8,
     SI16,
@@ -43,7 +41,7 @@ from .types import (
 # Types written as one name, keyed by how they print.
 _SCALAR_NAMES = {
     str(t): t
-    for t in (BOOL, SI8, SI16, SI32, SI64, F32, F64, RATIONAL, EXPR, IDENTITY, ELLIPSIS)
+    for t in (BOOL, SI8, SI16, SI32, SI64, F32, F64, RATIONAL, EXPR)
 }
 
 

@@ -33,7 +33,6 @@ from .ir import (
     IntAttr,
     Operation,
     RationalAttr,
-    StringAttr,
     Value,
     erase_tree,
     walk_lexical,
@@ -42,19 +41,19 @@ from .ops import (
     _EXACT,
     CMP_PREDICATES,
     _literal_value,
-    _subscript_slots,
+    expanded_slots,
     make_assoc,
     make_cast,
+    make_literal,
     make_subscript,
     make_yield,
-    typed_literal,
+    set_slots,
 )
 from .types import (
     ArrayType,
     BoolType,
     IndexType,
     IntType,
-    PseudoType,
     RationalType,
     Type,
     promote,
@@ -107,14 +106,6 @@ def rewrite(module: Operation, rules: Iterable[Rule]) -> Operation:
 
 
 # --- simplify ----------------------------------------------------------------
-
-
-def _is_pseudo_literal(op: Operation | None) -> bool:
-    return (
-        op is not None
-        and op.kind == "ekl.literal"
-        and isinstance(op.attrs["type"].value, PseudoType)
-    )
 
 
 def _replace_with(op: Operation, replacement: Operation) -> None:
@@ -174,7 +165,7 @@ def _fold_into(op: Operation, value: Fraction | bool | None) -> bool:
     if not rational_fits_exactly(value, t):
         return False
     attr = RationalAttr(value) if isinstance(t, RationalType) else IntAttr(int(value))
-    _replace_with(op, typed_literal(attr, t, op.location))
+    _replace_with(op, make_literal(attr, t, op.location))
     return True
 
 
@@ -190,17 +181,15 @@ def _try_identity(op: Operation) -> bool:
         inner = op.operands[0].defining_op
         if inner is not None and inner.kind == "ekl.neg":
             return _forward(op, inner.operands[0])
-    elif op.kind == "ekl.subscript" and len(op.operands) > 1:
-        # A read whose every slot keeps its full axis is the source itself.
-        slots = [v.defining_op for v in op.operands[1:]]
-        if all(_is_pseudo_literal(slot) for slot in slots):
-            return _forward(op, op.operands[0])
+    elif op.kind == "ekl.subscript" and len(op.operands) == 1:
+        # A read with no index keeps every axis whole: it is the source.
+        return _forward(op, op.operands[0])
     return False
 
 
 def _try_stack_subscript(op: Operation) -> bool:
     """stack(a, b, ...)[_k] resolves to the k-th element."""
-    if op.kind != "ekl.subscript" or len(op.operands) != 2:
+    if op.kind != "ekl.subscript" or len(op.operands) != 2 or "slots" in op.attrs:
         return False
     stack = op.operands[0].defining_op
     if stack is None or stack.kind != "ekl.stack":
@@ -238,8 +227,7 @@ def _cast_operands_to(op: Operation, indices: list[int], scalar: Type) -> bool:
     changed = False
     for i in indices:
         v = op.operands[i]
-        s = scalar_of(v.type)
-        if s == scalar or isinstance(s, PseudoType):
+        if scalar_of(v.type) == scalar:
             continue
         cast = make_cast(v, with_shape(scalar, shape_of(v.type)), op.location)
         op.parent.insert_before(op, cast)
@@ -248,37 +236,12 @@ def _cast_operands_to(op: Operation, indices: list[int], scalar: Type) -> bool:
     return changed
 
 
-def _expand_ellipsis(op: Operation) -> None:
-    src_t = op.operands[0].type
-    if not isinstance(src_t, ArrayType):
-        return
-    slots = [(kind, op.operands[i]) for kind, i in _subscript_slots(op)]
-    if all(kind != "..." for kind, _ in slots):
-        return
-    fixed = sum(1 for k, _ in slots if k != "...")
-    missing = len(src_t.shape) - fixed
-    new_operands = [op.operands[0]]
-    for kind, v in slots:
-        if kind == "...":
-            for _ in range(missing):
-                identity = typed_literal(StringAttr(":"), PseudoType(":"), op.location)
-                op.parent.insert_before(op, identity)
-                new_operands.append(identity.result)
-        else:
-            new_operands.append(v)
-    op.drop_operands()
-    for v in new_operands:
-        op.add_operand(v)
-    for kind, v in slots:
-        if kind == "..." and not v.uses and v.defining_op is not None:
-            erase_tree(v.defining_op)
-
-
 def _make_explicit(op: Operation) -> bool:
     """Give `op` explicit casts; the op itself stays."""
     kind = op.kind
     if kind == "ekl.subscript":
-        _expand_ellipsis(op)
+        # The ellipsis becomes the `:`s of the axes it stands for.
+        set_slots(op, expanded_slots(op, len(shape_of(op.operands[0].type))))
     elif kind in _ARITH + ("ekl.neg",):
         rs = scalar_of(op.result.type)
         if not isinstance(rs, IndexType):  # index arithmetic keeps its bounds
@@ -339,7 +302,7 @@ def _subscript_mapped(
         elif extent == 1 and shape[offset + a] == 1:
             slots.append(block.args[offset + a])
         else:
-            lit = block.append(typed_literal(IntAttr(0), IndexType(1), loc))
+            lit = block.append(make_literal(IntAttr(0), IndexType(1), loc))
             slots.append(lit.result)
     return block.append(make_subscript(v, slots, scalar_of(v.type), loc)).result
 

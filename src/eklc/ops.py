@@ -3,6 +3,9 @@
 Expression-producing ops have a result; statements have none. Containers
 (program, kernel) hold one block each; an assoc holds a functor block
 terminated by a yield, and a reduce sums every element of its operand.
+A literal and a cast carry their type only as their result type, and
+only values are operands: a subscript describes its `:` and `...` slots
+in its `slots` attribute.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .types import (
     FloatType,
     IndexType,
     IntType,
-    PseudoType,
     RationalType,
     Type,
     _smallest_int_for,
@@ -63,13 +65,31 @@ def _verify_functor(op: Operation) -> list[Diagnostic]:
     return []
 
 
-def _verify_literal(op: Operation) -> list[Diagnostic]:
+def _verify_typed(op: Operation) -> list[Diagnostic]:
+    """A literal or a cast has its type as its result type from the
+    start; a literal also needs its value."""
     diags = []
-    if "value" not in op.attrs:
+    if op.kind == "ekl.literal" and "value" not in op.attrs:
         diags.append(error(op.location, "literal requires a 'value' attribute"))
-    if "type" not in op.attrs or not isinstance(op.attrs["type"], TypeAttr):
-        diags.append(error(op.location, "literal requires a 'type' attribute"))
+    if op.result is not None and op.result.type is EXPR:
+        diags.append(error(op.location, f"'{op.kind}' requires a result type"))
     return diags
+
+
+def _verify_subscript(op: Operation) -> list[Diagnostic]:
+    attr = op.attrs.get("slots")
+    if attr is None:
+        return []
+    if not isinstance(attr, StringAttr) or not set(attr.value) <= set("i:."):
+        why = "must be a string of 'i', ':' and '.'"
+    elif attr.value.count("i") != len(op.operands) - 1:
+        n, m = attr.value.count("i"), len(op.operands) - 1
+        why = f"reads {n} index operands, but the op has {m}"
+    elif "i" * len(attr.value) == attr.value:
+        why = "must be absent when every slot is an index"
+    else:
+        return []
+    return [error(op.location, f"subscript 'slots' {why}")]
 
 
 def _verify_cmp(op: Operation) -> list[Diagnostic]:
@@ -97,22 +117,13 @@ def _verify_output(op: Operation) -> list[Diagnostic]:
 # --- rule helpers -----------------------------------------------------------
 
 
-def _literal_type(op: Operation) -> Type | None:
-    """The lexer-annotated type of a literal-defining op, if any."""
-    if op.kind == "ekl.literal":
-        attr = op.attrs.get("type")
-        if isinstance(attr, TypeAttr):
-            return attr.value
-    return None
-
-
 def _literal_value(v: Value) -> Fraction | bool | None:
     """The exact value of a scalar literal: a bool for a bool literal, a
     Fraction for a rational, index or integer one; otherwise None."""
     op = v.defining_op
     if op is None or op.kind != "ekl.literal":
         return None
-    t = op.attrs["type"].value
+    t = op.result.type
     attr = op.attrs["value"]
     if isinstance(t, BoolType) and isinstance(attr, IntAttr):
         return bool(attr.value)
@@ -163,17 +174,12 @@ def _combine(ctx: TypingContext, types: list[Type], what: str) -> Type:
 # --- typing rules -----------------------------------------------------------
 
 
-def literal_rule(op: Operation, ctx: TypingContext) -> None:
-    t = op.attrs["type"].value
-    ctx.exact(op.result, t)
-
-
 def arith_rule(op: Operation, ctx: TypingContext) -> None:
     samples = _operand_samples(op, ctx)
     if samples is None:
         return
     for s in samples:
-        if isinstance(scalar_of(s), (PseudoType, BoolType)) or not is_arithmetic_type(s):
+        if isinstance(scalar_of(s), BoolType) or not is_arithmetic_type(s):
             raise ctx.contradict(f"'{op.kind}' operand has non-arithmetic type {s}")
     if op.kind == "ekl.add":
         # Index addition tracks the exclusive upper bound of the result.
@@ -211,21 +217,27 @@ def cmp_rule(op: Operation, ctx: TypingContext) -> None:
     ctx.exact(op.result, with_shape(BOOL, shape_of(combined)))
 
 
-def _subscript_slots(op: Operation) -> list[tuple[str, int]]:
-    """Classify subscript slots syntactically: (kind, operand index).
+def subscript_slots(op: Operation) -> str:
+    """One character per written slot of a subscript: `i` reads the next
+    index operand, `:` keeps a whole axis, `.` is the ellipsis."""
+    attr = op.attrs.get("slots")
+    return "i" * (len(op.operands) - 1) if attr is None else attr.value
 
-    Kinds: 'index' (scalar index expression), ':' (identity), '...'
-    (ellipsis).
-    """
-    slots = []
-    for i, v in enumerate(op.operands[1:], start=1):
-        defop = v.defining_op
-        lt = _literal_type(defop) if defop is not None else None
-        if isinstance(lt, PseudoType):
-            slots.append((lt.kind, i))
-        else:
-            slots.append(("index", i))
-    return slots
+
+def expanded_slots(op: Operation, rank: int) -> str:
+    """The slots of a subscript of a rank-`rank` source, its ellipsis
+    replaced by a `:` for each axis that no other slot names."""
+    slots = subscript_slots(op)
+    return slots.replace(".", ":" * (rank - len(slots) + 1))
+
+
+def set_slots(op: Operation, slots: str) -> None:
+    """Record `slots` on a subscript; the attribute is absent when every
+    slot is an index."""
+    if "i" * len(slots) == slots:
+        op.attrs.pop("slots", None)
+    else:
+        op.attrs["slots"] = StringAttr(slots)
 
 
 def _constant_slot(v: Value) -> Fraction | None:
@@ -251,8 +263,8 @@ def subscript_rule(op: Operation, ctx: TypingContext) -> None:
         return
     if not isinstance(src, ArrayType):
         raise ctx.contradict(f"subscript of non-array type {src}")
-    slots = _subscript_slots(op)
-    n_ellipsis = sum(1 for k, _ in slots if k == "...")
+    slots = subscript_slots(op)
+    n_ellipsis = slots.count(".")
     if n_ellipsis > 1:
         raise ctx.contradict("at most one ellipsis is allowed in a subscript")
     rank = len(src.shape)
@@ -266,20 +278,14 @@ def subscript_rule(op: Operation, ctx: TypingContext) -> None:
         raise ctx.contradict(
             f"subscript has {fixed} indexers but array has rank {rank}"
         )
-    # Expand the ellipsis to identity indexers and pair slots with axes.
-    expanded: list[tuple[str, int | None]] = []
-    for kind, idx in slots:
-        if kind == "...":
-            expanded.extend((":", None) for _ in range(rank - fixed))
-        else:
-            expanded.append((kind, idx))
     kept: list[int] = []
-    for axis, (kind, idx) in enumerate(expanded):
+    indices = iter(op.operands[1:])
+    for axis, kind in enumerate(expanded_slots(op, rank)):
         extent = src.shape[axis]
         if kind == ":":
             kept.append(extent)
             continue
-        operand = op.operands[idx]
+        operand = next(indices)
         s = ctx.sample(operand)
         if s is not None and isinstance(s, ArrayType):
             raise ctx.contradict(
@@ -361,8 +367,6 @@ def assoc_rule(op: Operation, ctx: TypingContext) -> None:
         return
     if isinstance(elem, ArrayType):
         raise ctx.contradict("assoc functor must yield a scalar element")
-    if isinstance(elem, PseudoType):
-        raise ctx.contradict("assoc functor cannot yield a pseudo value")
     shape = tuple(t.bound for t in arg_ts)
     ctx.exact(op.result, ArrayType(elem, shape))
 
@@ -386,12 +390,10 @@ def output_rule(op: Operation, ctx: TypingContext) -> None:
 
 
 def cast_rule(op: Operation, ctx: TypingContext) -> None:
-    target = op.attrs["type"].value
     src = ctx.sample(op.operands[0])
     if src is not None:
         if not is_arithmetic_type(src) and not isinstance(scalar_of(src), BoolType):
             raise ctx.contradict(f"cannot cast from non-numeric type {src}")
-    ctx.exact(op.result, target)
 
 
 # --- registration -----------------------------------------------------------
@@ -407,17 +409,13 @@ _sig(
     num_regions=1,
     verifier=_verify_kernel,
 )
-_sig(
-    "ekl.literal",
-    num_results=1,
-    verifier=_verify_literal,
-    typing_rule=literal_rule,
-)
+_sig("ekl.literal", num_results=1, verifier=_verify_typed)
 _sig(
     "ekl.subscript",
     min_operands=1,
     max_operands=None,
     num_results=1,
+    verifier=_verify_subscript,
     typing_rule=subscript_rule,
 )
 for _kind in ("ekl.add", "ekl.sub", "ekl.mul", "ekl.div"):
@@ -456,7 +454,14 @@ _sig(
 )
 _sig("ekl.yield", min_operands=1, max_operands=1)
 _sig("ekl.output", min_operands=1, max_operands=1, verifier=_verify_output, typing_rule=output_rule)
-_sig("ekl.cast", min_operands=1, max_operands=1, num_results=1, typing_rule=cast_rule)
+_sig(
+    "ekl.cast",
+    min_operands=1,
+    max_operands=1,
+    num_results=1,
+    verifier=_verify_typed,
+    typing_rule=cast_rule,
+)
 
 
 # --- builder helpers --------------------------------------------------------
@@ -466,23 +471,9 @@ _sig("ekl.cast", min_operands=1, max_operands=1, num_results=1, typing_rule=cast
 # places it.
 
 
-def make_literal(
-    value: Attribute, type: Type, loc: Location = Location()
-) -> Operation:
-    """A literal as the parser builds it: its result is still `expr`."""
-    return Operation(
-        "ekl.literal",
-        attrs={"value": value, "type": TypeAttr(type)},
-        result_type=EXPR,
-        location=loc,
-    )
-
-
-def typed_literal(value: Attribute, type: Type, loc: Location = Location()) -> Operation:
-    """A literal built after type checking: its result has its own type."""
-    lit = make_literal(value, type, loc)
-    lit.result.type = type
-    return lit
+def make_literal(value: Attribute, type: Type, loc: Location = Location()) -> Operation:
+    """A literal of `value`, of result type `type`."""
+    return Operation("ekl.literal", attrs={"value": value}, result_type=type, location=loc)
 
 
 def number_literal(value: Fraction | int, loc: Location = Location()) -> Operation:
@@ -495,10 +486,6 @@ def index_literal(value: int, loc: Location = Location()) -> Operation:
 
 def bool_literal(value: bool, loc: Location = Location()) -> Operation:
     return make_literal(IntAttr(int(value)), BOOL, loc)
-
-
-def pseudo_literal(kind: str, loc: Location = Location()) -> Operation:
-    return make_literal(StringAttr(kind), PseudoType(kind), loc)
 
 
 def make_yield(value: Value, loc: Location = Location()) -> Operation:
@@ -521,19 +508,16 @@ def make_sum(source: Value, type: Type, loc: Location) -> Operation:
 
 
 def make_cast(value: Value, target: Type, loc: Location) -> Operation:
-    return Operation(
-        "ekl.cast",
-        operands=[value],
-        attrs={"type": TypeAttr(target)},
-        result_type=target,
-        location=loc,
-    )
+    return Operation("ekl.cast", operands=[value], result_type=target, location=loc)
 
 
 def make_subscript(
-    source: Value, slots: list[Value], type: Type, loc: Location
+    source: Value, indices: list[Value], type: Type, loc: Location, slots: str = ""
 ) -> Operation:
-    """`source[slots...]` with result type `type`."""
-    return Operation(
-        "ekl.subscript", operands=[source, *slots], result_type=type, location=loc
+    """`source[...]` with result type `type`, reading `indices` in order at
+    the `i`s of `slots`; by default every slot is an index."""
+    op = Operation(
+        "ekl.subscript", operands=[source, *indices], result_type=type, location=loc
     )
+    set_slots(op, slots)
+    return op

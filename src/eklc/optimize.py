@@ -33,10 +33,10 @@ from .normalize import _dce_block, _replace_with, _try_choice, rewrite
 from .ops import (
     make_assoc,
     make_cast,
+    make_literal,
     make_subscript,
     make_sum,
     make_yield,
-    typed_literal,
 )
 from .types import (
     RATIONAL,
@@ -44,7 +44,6 @@ from .types import (
     BoolType,
     IndexType,
     IntType,
-    PseudoType,
     RationalType,
     promote,
     rational_fits_exactly,
@@ -136,7 +135,7 @@ class _Factor:
     ) -> Value:
         if self.multiplicity is not None:
             m = RationalAttr(Fraction(self.multiplicity))
-            return block.append(typed_literal(m, RATIONAL, loc)).result
+            return block.append(make_literal(m, RATIONAL, loc)).result
         if self.table is not None:
             table = self.table.result
             slots = [mapping[a] for a in self.table_keys]
@@ -381,7 +380,7 @@ def _fuse(op: Operation) -> bool:
     if op.kind != "ekl.assoc" or len(op.result.uses) != 1:
         return False
     user, idx = op.result.uses[0]
-    if user.kind != "ekl.subscript" or idx != 0:
+    if user.kind != "ekl.subscript" or idx != 0 or "slots" in user.attrs:
         return False
     args = op.body().args
     slots = user.operands[1:]
@@ -392,8 +391,6 @@ def _fuse(op: Operation) -> bool:
     if owner is None or owner.kind != "ekl.assoc":
         return False
     if list(slots) != list(enclosing.args) or len(slots) != len(args):
-        return False
-    if any(isinstance(scalar_of(s.type), PseudoType) for s in slots):
         return False
     mapping = dict(zip(args, slots))
     for body_op in op.body().ops[:-1]:
@@ -425,9 +422,9 @@ def lower_rationals(module: Operation) -> list[Diagnostic]:
         attr = src.attrs["value"]
         if not isinstance(attr, RationalAttr):
             return False
-        if not isinstance(src.attrs["type"].value, RationalType):
+        if not isinstance(src.result.type, RationalType):
             return False
-        target = op.attrs["type"].value
+        target = op.result.type
         if isinstance(target, ArrayType):
             return False
         if not rational_fits_exactly(attr.value, target):
@@ -439,7 +436,7 @@ def lower_rationals(module: Operation) -> list[Diagnostic]:
                 )
             )
             return False
-        _replace_with(op, typed_literal(attr, target, op.location))
+        _replace_with(op, make_literal(attr, target, op.location))
         return True
 
     rewrite(module, (lower,))

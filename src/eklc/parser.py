@@ -1,10 +1,11 @@
 """Recursive-descent parser from EKL source text to syntactical IR.
 
-Every expression value starts out typed `expr`; concrete types are deduced
-later by the fix-point checker. Constant expressions in type positions are
-built in an isolated block, wrapped in an ephemeral `ekl.program`
-container, and folded immediately by type checking that container and
-running the compiler's exact local rewrites over it.
+A literal is typed from the parse on; every other expression value starts
+out typed `expr`, and its concrete type is deduced later by the fix-point
+checker. Constant expressions in type positions are built in an isolated
+block, wrapped in an ephemeral `ekl.program` container, and folded
+immediately by type checking that container and running the compiler's
+exact local rewrites over it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .ops import (
     make_sum,
     make_yield,
     number_literal,
-    pseudo_literal,
 )
 from .types import (
     BOOL,
@@ -475,14 +475,17 @@ class Parser:
         while self.at("["):
             loc = self.advance().loc
             slots = self._parse_list(self.parse_subscript_slot, "]", "after the subscript")
-            value = self.emit(make_subscript(value, slots, EXPR, loc))
+            indices = [v for v in slots if isinstance(v, Value)]
+            marks = "".join("i" if isinstance(v, Value) else v for v in slots)
+            value = self.emit(make_subscript(value, indices, EXPR, loc, marks))
         return value
 
-    def parse_subscript_slot(self) -> Value:
+    def parse_subscript_slot(self) -> Value | str:
+        """An index value, or the slot character of `:` or `...`."""
         tok = self.peek()
         if tok.kind == "punct" and tok.text in (":", "..."):
             self.advance()
-            return self.emit(pseudo_literal(tok.text, tok.loc))
+            return tok.text[0]
         return self.parse_expr()
 
     def parse_primary(self) -> Value:

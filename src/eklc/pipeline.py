@@ -2,7 +2,7 @@
 
 Stages, in order:
 
-- ``ast``: parsed module, untyped.
+- ``ast``: parsed module; only literals and kernel arguments are typed.
 - ``typed``: after deductive fix-point type checking.
 - ``simplified``: constants folded, algebraic identities applied, dead
   operations removed.
@@ -110,8 +110,8 @@ def compile_all_stages(
     stage.
 
     Returns an empty dict together with the diagnostics when any stage
-    fails. The ``ast`` snapshot is omitted since its values carry no
-    types and cannot be evaluated.
+    fails. The ``ast`` snapshot is omitted since most of its values carry
+    no types yet and it cannot be evaluated.
     """
     stages: dict[str, Operation] = {}
     result = _compile(source, filename, "optimized", fast_math, stages)

@@ -13,7 +13,7 @@ only when a value it read at its last run has tightened: its
 `TypingContext` records each value the rule reads through `sample`, and
 a tightened value re-enqueues exactly those readers. The op that only
 wrote a value is not re-run for it, so a rule that reads nothing it
-deduces (a literal, an output, an `if` condition) runs once. This is
+deduces (an output, an `if` condition) runs once. This is
 how MLIR's `DataFlowSolver` tracks the dependencies of a program point.
 It needs one invariant: a rule reads bounds only through its context,
 never through the checker's state or a value's interval directly; what
@@ -253,7 +253,8 @@ class FixPointTypeChecker:
         heapq.heappush(self._queue, pos)
 
     def seed(self) -> None:
-        """Pre-typed values (e.g. declared kernel arguments) seed the state."""
+        """Pre-typed values (declared kernel arguments, literals) seed the
+        state with their exact types."""
         for op in self._by_pos:
             for v in _defined_values(op):
                 if v.type is not EXPR:

@@ -126,25 +126,6 @@ class ExpressionType(Type):
         return _UNIQUE.get((cls,)) or _intern(cls, (), "expr")
 
 
-_PSEUDO_NAMES = {":": "identity", "...": "ellipsis"}
-
-
-class PseudoType(Type):
-    """Literal pseudo-type of a subscript slot: identity ':' or ellipsis
-    '...'."""
-
-    __slots__ = ("kind",)
-    _fields = ("kind",)
-
-    def __new__(cls, kind: str) -> "PseudoType":
-        t = _UNIQUE.get((cls, kind))
-        if t is None:
-            if kind not in _PSEUDO_NAMES:
-                raise ValueError(f"unknown pseudo type {kind!r}")
-            t = _intern(cls, (kind,), f"pseudo_{_PSEUDO_NAMES[kind]}")
-        return t
-
-
 class ArrayType(Type):
     __slots__ = ("scalar", "shape")
     _fields = ("scalar", "shape")
@@ -154,7 +135,7 @@ class ArrayType(Type):
             shape = tuple(shape)
         t = _UNIQUE.get((cls, scalar, shape))
         if t is None:
-            if isinstance(scalar, (ArrayType, ExpressionType, PseudoType)):
+            if isinstance(scalar, (ArrayType, ExpressionType)):
                 raise ValueError("array scalar must be a scalar type")
             if any(e < 0 for e in shape):
                 raise ValueError("array extents must be non-negative")
@@ -172,8 +153,6 @@ F32 = FloatType(32)
 F64 = FloatType(64)
 RATIONAL = RationalType()
 EXPR = ExpressionType()
-IDENTITY = PseudoType(":")
-ELLIPSIS = PseudoType("...")
 
 # Largest integer n such that all integers in [0, n] are exact in the float.
 _FLOAT_EXACT_MAX = {32: 2**24, 64: 2**53}
@@ -272,10 +251,8 @@ def _subtype(t: Type, u: Type) -> bool:
             and t.shape == u.shape
             and is_subtype(t.scalar, u.scalar)
         )
-    if isinstance(t, (PseudoType, RationalType)):
-        return False  # these relate only to themselves and expr
-    if isinstance(u, (PseudoType, RationalType)):
-        return False
+    if isinstance(t, RationalType) or isinstance(u, RationalType):
+        return False  # rational relates only to itself and expr
     return _scalar_subtype(t, u)
 
 
@@ -403,7 +380,10 @@ def rational_fits_exactly(value: Fraction, t: Type) -> bool:
     if isinstance(t, FloatType):
         if value == 0:
             return True
-        f = float(value)
+        try:
+            f = float(value)
+        except OverflowError:  # past the largest finite double
+            return False
         if value != Fraction(f):
             return False
         if t.width == 64:

@@ -97,6 +97,18 @@ def test_dump_is_byte_stable(good, capsys):
     assert "ekl." in first
 
 
+def test_the_ir_format_example_is_a_typed_dump(tmp_path, capsys):
+    """The `## Example` block of docs/ir-format.md is what `eklc dump`
+    prints for its kernel."""
+    with open(os.path.join(REPO_ROOT, "docs", "ir-format.md"), encoding="utf-8") as f:
+        doc = f.read()
+    example = doc.split("## Example", 1)[1].split("```\n")[1]
+    src = tmp_path / "k.ekl"
+    src.write_text("kernel k(in x: f64[3], out y: f64[3]) { let y[i] = x[i] * 2; }\n")
+    assert main(["dump", str(src), "--stage", "typed"]) == 0
+    assert capsys.readouterr().out == example
+
+
 def test_dump_rejects_unknown_stage(good):
     with pytest.raises(SystemExit) as exc:
         main(["dump", good, "--stage", "nonsense"])
@@ -219,6 +231,20 @@ def test_rational_division_by_zero_is_reported(tmp_path, capsys):
     assert f"{src}:2:" in err
 
 
+def _eklc(*argv):
+    """Run the eklc command line in a fresh interpreter, where a NumPy
+    RuntimeWarning is an error."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.join(REPO_ROOT, "src"),
+        PYTHONWARNINGS="error::RuntimeWarning",
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "eklc.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_stats_reports_a_runtime_trap_without_a_traceback(tmp_path):
     src = tmp_path / "div.ekl"
     src.write_text(
@@ -227,11 +253,7 @@ def test_stats_reports_a_runtime_trap_without_a_traceback(tmp_path):
         "}\n"
     )
     # Seed 2 draws a zero into b. A subprocess shows what a user sees.
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-    done = subprocess.run(
-        [sys.executable, "-m", "eklc.cli", "stats", str(src), "--seed", "2"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = _eklc("stats", src, "--seed", "2")
     assert done.returncode == 1
     assert "division by zero" in done.stderr
     assert "Traceback" not in done.stderr
@@ -252,12 +274,7 @@ def test_an_unassigned_output_is_reported(tmp_path, body, name):
         f"kernel k(in c: bool, in a: f64, out y: f64, out z: f64) {{\n  {body}\n}}\n"
     )
     out = tmp_path / f"{name}.eklt"
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-    done = subprocess.run(
-        [sys.executable, "-m", "eklc.cli", "run", str(src), "--seed", "1",
-         "--out", f"{name}={out}"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = _eklc("run", src, "--seed", "1", "--out", f"{name}={out}")
     assert done.returncode == 1
     assert done.stderr == f"error: {src}:1:1: output '{name}' was not assigned\n"
     assert not out.exists()
@@ -271,15 +288,41 @@ def test_a_rational_cast_out_of_range_is_reported(tmp_path):
         "}\n"
     )
     # Seed 1 draws a value whose product does not fit si32.
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-    done = subprocess.run(
-        [sys.executable, "-m", "eklc.cli", "run", str(src), "--seed", "1"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = _eklc("run", src, "--seed", "1")
     assert done.returncode == 1
     assert done.stderr.startswith(f"error: {src}:2:")
     assert done.stderr.endswith(": value out of range for si32\n")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, seed", [("run", "-1"), ("stats", "-5")])
+def test_a_negative_seed_is_a_usage_error(good, command, seed):
+    done = _eklc(command, good, "--seed", seed)
+    assert done.returncode == 2
+    assert done.stderr == f"error: --seed expects a non-negative integer, got {seed}\n"
+
+
+def test_a_rank_0_rational_cast_out_of_range_is_reported(tmp_path):
+    src = tmp_path / "cast.ekl"
+    src.write_text("kernel k(in r: rational, out y: si32) { let y = r * 1000000000; }\n")
+    r = tmp_path / "r.eklr"
+    write_tensor(r, TensorValue(RATIONAL, (), np.array(Fraction(3), dtype=object)))
+    done = _eklc("run", src, "--in", f"r={r}")
+    assert done.returncode == 1
+    assert done.stderr == f"error: {src}:1:41: value out of range for si32\n"
+
+
+@pytest.mark.parametrize("width, constant", [("64", "1e400"), ("32", "1e39")])
+def test_a_constant_out_of_a_float_range_is_reported(tmp_path, width, constant):
+    src = tmp_path / "big.ekl"
+    src.write_text(f"kernel k(in a: f{width}, out y: f{width}) {{ let y = a + {constant}; }}\n")
+    dump = _eklc("dump", src, "--stage", "optimized")
+    assert dump.returncode == 0 and "Traceback" not in dump.stderr
+    for command in ("run", "stats"):
+        done = _eklc(command, src)
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.endswith(f"error: {src}:1:45: value out of range for f{width}\n")
 
 
 def test_repeated_calls_in_one_process_share_no_state(good, tmp_path, capsys):

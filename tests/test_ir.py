@@ -123,12 +123,46 @@ def test_verify_reports_a_region_count_mismatch(text, message):
     assert [d.message for d in verify(parse_ir(text))] == [message]
 
 
+_SUBSCRIPT = """ekl.program ({
+  ekl.kernel ({
+  ^(%0: array<f64[2,3]>, %1: index<2>):
+    %2 = ekl.subscript(%0, %1) {slots = SLOTS}
+  }) {name = "k"}
+})"""
+
+
+@pytest.mark.parametrize(
+    "slots, message",
+    [
+        ('"i*"', "subscript 'slots' must be a string of 'i', ':' and '.'"),
+        ("3", "subscript 'slots' must be a string of 'i', ':' and '.'"),
+        ('":i:i"', "subscript 'slots' reads 2 index operands, but the op has 1"),
+        ('":"', "subscript 'slots' reads 0 index operands, but the op has 1"),
+        ('"i"', "subscript 'slots' must be absent when every slot is an index"),
+    ],
+    ids=["bad_character", "not_a_string", "too_many_indices", "too_few_indices", "all_indices"],
+)
+def test_verify_reports_malformed_subscript_slots(slots, message):
+    diags = verify(parse_ir(_SUBSCRIPT.replace("SLOTS", slots)))
+    assert [d.message for d in diags] == [message]
+    assert (diags[0].location.line, diags[0].location.col) == (4, 10)
+
+
+@pytest.mark.parametrize("op", ["ekl.literal {value = 1/2}", "ekl.cast(%0)"])
+def test_verify_requires_literals_and_casts_to_be_typed(op):
+    """A literal or a cast carries its type only as its result type."""
+    text = f"ekl.program ({{ ^(%0: f64): %1 = {op} }})"
+    kind = op.split()[0].split("(")[0]
+    assert [d.message for d in verify(parse_ir(text))] == [f"'{kind}' requires a result type"]
+    assert not verify(parse_ir(f"ekl.program ({{ ^(%0: f64): %1 = {op} : f32 }})"))
+
+
 def test_importing_eklc_registers_the_dialect():
     """Verifying parsed IR needs no import of `eklc.ops` first."""
     script = (
         "from eklc.ir_text import parse_ir\n"
         "from eklc.ir import verify\n"
-        "text = 'ekl.program ({ %0 = ekl.literal {type = rational, value = 1/2} : rational })'\n"
+        "text = 'ekl.program ({ %0 = ekl.literal {value = 1/2} : rational })'\n"
         "print(verify(parse_ir(text)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))

@@ -70,15 +70,7 @@ def test_mixed_kind_arithmetic_gets_explicit_casts():
     assert not verify(explicit)
 
 
-def test_pseudo_subscripts_are_expanded_away():
-    def pseudo(module, marks):
-        return [
-            op
-            for op in walk_lexical(module)
-            if op.kind == "ekl.literal"
-            and getattr(op.attrs["value"], "value", None) in marks
-        ]
-
+def test_ellipsis_slots_are_expanded_away():
     # A read that keeps every axis whole is the source itself.
     identity = _stage(
         "kernel k(in A: f64[2,3], out y: f64[2,3]) { let y = A[:, ...]; }",
@@ -86,13 +78,19 @@ def test_pseudo_subscripts_are_expanded_away():
     )
     assert "ekl.subscript" not in _kinds(identity)
 
-    # A partial read keeps explicit full-axis slices but no ellipsis.
-    explicit = _stage(
-        "kernel k(in A: f64[2,3], out y: f64[3]) { let y = A[_1, ...]; }",
-        "explicit",
-    )
-    assert not pseudo(explicit, ("...",))
-    assert len(pseudo(explicit, (":",))) == 1
+    # A partial read spells out its whole axes in `slots`, making no op;
+    # when the ellipsis stood for no axis, `slots` goes.
+    for read, out, slots in (
+        ("A[_1, ...]", "f64[3]", "i:"),
+        ("A[..., _1]", "f64[2]", ":i"),
+        ("A[_1, _2, ...]", "f64", None),
+    ):
+        src = f"kernel k(in A: f64[2,3], out y: {out}) {{ let y = {read}; }}"
+        simplified, explicit = _stage(src, "simplified"), _stage(src, "explicit")
+        (sub,) = [op for op in walk_lexical(explicit) if op.kind == "ekl.subscript"]
+        assert getattr(sub.attrs.get("slots"), "value", None) == slots, read
+        assert _kinds(explicit) == _kinds(simplified)
+        assert not verify(explicit)
 
 
 def test_generator_form_makes_bodies_scalar():

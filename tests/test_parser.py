@@ -9,7 +9,7 @@ import pytest
 from conftest import corpus_source
 from eklc.ir import verify, walk_lexical
 from eklc.parser import parse_source
-from eklc.types import EXPR, F64, ArrayType, IndexType
+from eklc.types import EXPR, F64, RATIONAL, ArrayType, IndexType
 
 
 def _ops(module, kind):
@@ -41,6 +41,9 @@ def test_expression_values_start_untyped():
     assert not diags
     add = _ops(module, "ekl.add")
     assert len(add) == 1 and add[0].result.type == EXPR
+    # A literal carries its type as its result type, from the parse on.
+    (lit,) = _ops(module, "ekl.literal")
+    assert lit.result.type == RATIONAL and list(lit.attrs) == ["value"]
 
 
 def test_esn_builds_nested_generators_with_reduction():
@@ -101,18 +104,19 @@ def test_index_literal_extents_fold():
     ]
 
 
-def test_pseudo_subscripts_parse():
+def test_whole_axis_and_ellipsis_slots_parse_into_an_attribute():
     module, diags = parse_source(
-        "kernel k(in A: f64[2,3], out y: f64[2,3]) { let y = A[:, ...]; }"
+        "kernel k(in A: f64[2,3,4], in j: index<3>, out y: f64[2,4]) "
+        "{ let y = A[:, j, ...]; }"
     )
-    assert not diags
-    lits = [
-        op
-        for op in walk_lexical(module)
-        if op.kind == "ekl.literal"
-        and getattr(op.attrs["value"], "value", None) in (":", "...")
-    ]
-    assert len(lits) == 2
+    assert not diags and not verify(module)
+    (sub,) = _ops(module, "ekl.subscript")
+    assert sub.operands == module.body().ops[0].body().args
+    assert sub.attrs["slots"].value == ":i."
+    assert not _ops(module, "ekl.literal")
+    # A read of indices only has no `slots`.
+    module, _ = parse_source("kernel k(in A: f64[2], out y: f64) { let y = A[_1]; }")
+    assert "slots" not in _ops(module, "ekl.subscript")[0].attrs
 
 
 def test_star_is_not_a_subscript_slot():

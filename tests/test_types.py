@@ -132,7 +132,7 @@ def test_type_text_round_trip():
         ArrayType(F32, (2, 3)),
         ArrayType(IndexType(5), (4,)),
     ):
-        op = Operation("ekl.cast", attrs={"type": TypeAttr(t)}, result_type=t)
+        op = Operation("ekl.output", attrs={"type": TypeAttr(t)}, result_type=t)
         parsed = parse_ir(print_ir(op))
         assert parsed.attrs["type"].value == t and parsed.result.type == t
 

@@ -1,17 +1,20 @@
 """Random well-formed module generation for stability and termination tests.
 
-Modules are built directly as untyped IR (every expression value starts
-at the universal expression type) while the generator tracks the types
+Modules are built directly as IR in the form the parser gives: a literal
+carries its type as its result type, and every other expression value
+starts at the universal expression type. The generator tracks the types
 the checker must deduce, so generated programs always verify and always
-type-check successfully.
+type-check successfully. Subscripts read each axis at a literal index or
+keep it whole, and may write a run of whole axes as one ellipsis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from eklc.diagnostics import Location
 from eklc.ir import Block, Operation, StringAttr, TypeAttr, Value
-from eklc.ops import bool_literal, index_literal, number_literal
+from eklc.ops import index_literal, make_subscript, number_literal
 from eklc.types import (
     EXPR,
     F32,
@@ -26,6 +29,7 @@ from eklc.types import (
     promote,
     scalar_of,
     shape_of,
+    with_shape,
 )
 
 _INPUT_SCALARS = (F64, F32, SI32, SI64, RATIONAL)
@@ -91,15 +95,26 @@ def random_kernel(
             shape = shape_of(ta)
             if not shape:
                 continue
-            slots = []
+            marks, indices, kept = "", [], []
             for extent in shape:
+                if rng.integers(0, 4) == 0:
+                    marks += ":"
+                    kept.append(extent)
+                    continue
                 lit = index_literal(int(rng.integers(0, extent)))
                 block.append(lit)
-                slots.append(lit.result)
+                indices.append(lit.result)
+                marks += "i"
                 ops_made += 1
-            op = Operation("ekl.subscript", operands=[a] + slots, result_type=EXPR)
+            if rng.integers(0, 3) == 0:
+                # An ellipsis for the run of whole axes from `start`, if any.
+                start = end = int(rng.integers(0, len(marks) + 1))
+                while end < len(marks) and marks[end] == ":":
+                    end += 1
+                marks = marks[:start] + "." + marks[end:]
+            op = make_subscript(a, indices, EXPR, Location(), marks)
             block.append(op)
-            pool.append((op.result, scalar_of(ta)))
+            pool.append((op.result, with_shape(scalar_of(ta), tuple(kept))))
             ops_made += 1
 
     out, out_t = pool[-1]
