@@ -13,11 +13,15 @@ Subcommands:
 Exit codes: 0 on success, 1 when error diagnostics were emitted, 2 on
 usage errors, 3 on I/O errors. Diagnostics go to stderr; IR and reports
 go to stdout.
+
+``main`` may be called repeatedly in one process and builds its parser
+once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -283,6 +287,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fast-math", action="store_true", help="allow float reassociation")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eklc", description="EKL tensor kernel compiler and runner"

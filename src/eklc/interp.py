@@ -76,6 +76,7 @@ from .types import (
     IntType,
     RationalType,
     Type,
+    rational_to_float,
     scalar_of,
     shape_of,
 )
@@ -720,6 +721,20 @@ def _holds_fractions(x) -> bool:
     return isinstance(x, Fraction)
 
 
+def _to_float(value, scalar: FloatType, op: Operation):
+    """An oracle value in double precision: a float, or a float array. A
+    rational past the finite range of `scalar` traps at `op`, as the
+    evaluator's conversion of a rational does."""
+    is_object = isinstance(value, np.ndarray) and value.dtype == object
+    for x in value.flat if is_object else (value,):
+        if isinstance(x, Fraction):
+            try:
+                rational_to_float(x, scalar)
+            except OverflowError:
+                raise EvalError(f"{op.location}: value out of range for {scalar}") from None
+    return np.asarray(value, dtype=np.float64) if np.shape(value) else float(value)
+
+
 def _ieee_divide(a, b):
     """Double-precision `a / b` by IEEE 754, where `x / 0` is `inf`,
     `-inf` or `nan` and raises no warning; a float, or a float array."""
@@ -737,8 +752,7 @@ def _declared(value, scalar: Type, op: Operation):
     if not _holds_fractions(value) or not isinstance(scalar, kinds):
         return value
     if isinstance(scalar, FloatType):
-        out = np.array([float(x) for x in np.ravel(value)])
-        out = out.astype(f"float{scalar.width}")
+        out = np.asarray(_to_float(value, scalar, op)).astype(f"float{scalar.width}")
     else:
         dtype = f"int{scalar.width if isinstance(scalar, IntType) else 64}"
         out = np.array([int(x) for x in np.ravel(value)], dtype=object)
@@ -809,7 +823,7 @@ def eval_ast_oracle(
                 value = int(value)
             env[op.result] = value
         elif kind in _ARITH_FUNCS:
-            a, b = _align(env[op.operands[0]], env[op.operands[1]])
+            a, b = _align(env[op.operands[0]], env[op.operands[1]], op)
             if kind == "ekl.div" and not (_holds_fractions(a) or _holds_fractions(b)):
                 # Floats and machine integers divide to a float.
                 env[op.result] = _ieee_divide(a, b)
@@ -821,7 +835,7 @@ def eval_ast_oracle(
         elif kind == "ekl.neg":
             env[op.result] = -env[op.operands[0]]
         elif kind == "ekl.cmp":
-            a, b = _align(env[op.operands[0]], env[op.operands[1]])
+            a, b = _align(env[op.operands[0]], env[op.operands[1]], op)
             env[op.result] = _CMP_FUNCS[op.attrs["pred"].value](
                 np.asarray(a), np.asarray(b)
             ) if np.shape(a) or np.shape(b) else _CMP_FUNCS[
@@ -874,11 +888,7 @@ def eval_ast_oracle(
             target = scalar_of(op.result.type)
             value = env[op.operands[0]]
             if isinstance(target, FloatType):
-                env[op.result] = (
-                    np.asarray(value, dtype=np.float64)
-                    if np.shape(value)
-                    else float(value)
-                )
+                env[op.result] = _to_float(value, target, op)
             elif isinstance(target, RationalType):
                 env[op.result] = _as_fractions(value)
             else:
@@ -895,8 +905,11 @@ def eval_ast_oracle(
         else:
             raise EvalError(f"oracle cannot evaluate op '{op.kind}'")
 
-    def _align(a, b):
-        # Rationals mix with floats by falling to double precision.
+    def _align(a, b, op: Operation):
+        # Rationals mix with floats by falling to double precision. The
+        # evaluator converts the operands of an arith op to its result
+        # type, and those of a comparison to f64.
+        scalar = F64 if op.kind == "ekl.cmp" else scalar_of(op.result.type)
         a_frac = isinstance(a, Fraction) or (
             isinstance(a, np.ndarray) and a.dtype == object
         )
@@ -910,9 +923,9 @@ def eval_ast_oracle(
             isinstance(b, np.ndarray) and np.issubdtype(b.dtype, np.floating)
         )
         if a_frac and b_float:
-            a = float(a) if isinstance(a, Fraction) else a.astype(np.float64)
+            a = _to_float(a, scalar, op)
         if b_frac and a_float:
-            b = float(b) if isinstance(b, Fraction) else b.astype(np.float64)
+            b = _to_float(b, scalar, op)
         return a, b
 
     block = kernel.body()

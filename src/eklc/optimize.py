@@ -47,6 +47,7 @@ from .types import (
     RationalType,
     promote,
     rational_fits_exactly,
+    rational_in_range,
     scalar_of,
 )
 
@@ -409,7 +410,8 @@ def _fuse(op: Operation) -> bool:
 def lower_rationals(module: Operation) -> list[Diagnostic]:
     """Narrow rational literals feeding machine-typed casts.
 
-    Returns warnings for constants that are not exactly representable.
+    Returns warnings for constants that are out of range or not exactly
+    representable.
     """
     warnings: list[Diagnostic] = []
 
@@ -427,17 +429,21 @@ def lower_rationals(module: Operation) -> list[Diagnostic]:
         target = op.result.type
         if isinstance(target, ArrayType):
             return False
-        if not rational_fits_exactly(attr.value, target):
-            warnings.append(
-                warning(
-                    op.location,
-                    f"rational constant {attr.value} is not exactly "
-                    f"representable as {target}; it will be rounded",
-                )
+        if not rational_in_range(attr.value, target):
+            # The constant is not printed: it may have hundreds of digits.
+            message = (
+                f"rational constant is out of range for {target}; evaluating it traps"
             )
-            return False
-        _replace_with(op, make_literal(attr, target, op.location))
-        return True
+        elif not rational_fits_exactly(attr.value, target):
+            message = (
+                f"rational constant {attr.value} is not exactly "
+                f"representable as {target}; it will be rounded"
+            )
+        else:
+            _replace_with(op, make_literal(attr, target, op.location))
+            return True
+        warnings.append(warning(op.location, message))
+        return False
 
     rewrite(module, (lower,))
     return warnings

@@ -17,6 +17,7 @@ names few distinct types.
 
 from __future__ import annotations
 
+import math
 import struct
 from fractions import Fraction
 
@@ -365,6 +366,33 @@ def index_add_bound(t: Type, u: Type) -> IndexType | None:
     if isinstance(t, IndexType) and isinstance(u, IndexType):
         return IndexType(t.bound + u.bound - 1)
     return None
+
+
+def rational_to_float(value: Fraction, t: FloatType) -> float:
+    """`value` rounded to the nearest double, as `float` rounds it. Raises
+    OverflowError when it lies past the finite range of `t`, where the
+    evaluator's cast of a rational traps."""
+    f = float(value)
+    if t.width == 32 and math.isinf(struct.unpack("f", struct.pack("f", f))[0]):
+        raise OverflowError(f"value out of range for {t}")
+    return f
+
+
+def rational_in_range(value: Fraction, t: Type) -> bool:
+    """Whether a cast of a rational constant to `t` evaluates without
+    trapping: a float type holds it once rounded, an integer or index
+    type once truncated toward zero."""
+    if isinstance(t, FloatType):
+        try:
+            rational_to_float(value, t)
+        except OverflowError:
+            return False
+        return True
+    if isinstance(t, IndexType):
+        return 0 <= math.trunc(value) < t.bound
+    if isinstance(t, IntType):
+        return int_min(t) <= math.trunc(value) <= int_max(t)
+    return True
 
 
 def rational_fits_exactly(value: Fraction, t: Type) -> bool:

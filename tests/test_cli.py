@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,10 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, corpus_path
-from eklc import pipeline
+from eklc import cli, pipeline
 from eklc.cli import main
 from eklc.tensor_io import TensorValue, read_tensor, write_tensor
-from eklc.types import F64, RATIONAL
+from eklc.types import F64, RATIONAL, SI64
 
 GOOD = """
 kernel scale(in x: f64[4], in j: index<4>[4], out y: f64[4]) {
@@ -318,10 +321,16 @@ def test_a_constant_out_of_a_float_range_is_reported(tmp_path, width, constant):
     src.write_text(f"kernel k(in a: f{width}, out y: f{width}) {{ let y = a + {constant}; }}\n")
     dump = _eklc("dump", src, "--stage", "optimized")
     assert dump.returncode == 0 and "Traceback" not in dump.stderr
+    # The warning names the trap, without the digits of the constant.
+    warned = (
+        f"{src}:1:45: warning: rational constant is out of range for f{width}; "
+        "evaluating it traps\n"
+    )
     for command in ("run", "stats"):
         done = _eklc(command, src)
         assert done.returncode == 1, done.stderr
         assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(warned) and "000000" not in done.stderr
         assert done.stderr.endswith(f"error: {src}:1:45: value out of range for f{width}\n")
 
 
@@ -359,6 +368,90 @@ def test_repeated_calls_in_one_process_share_no_state(good, tmp_path, capsys):
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("eklc ")
     assert main(["check", good]) == 0
+
+
+TWO_OUTPUTS = """
+kernel two(in x: f64[4], in j: index<4>[4], out y: f64[4], out z: f64[4]) {
+  let y[i] = x[j[i]] * 2;
+  let z[i] = x[i] + x[i];
+}
+"""
+
+
+def test_each_call_sees_only_its_own_arguments(bad, tmp_path, monkeypatch, capsys):
+    """`main` reuses one parser across calls: no binding, seed or
+    `--fast-math` of one call reaches the next, and a usage error still
+    goes to the stderr of its own call."""
+    src = tmp_path / "two.ekl"
+    src.write_text(TWO_OUTPUTS)
+    x, j = tmp_path / "x.eklt", tmp_path / "j.eklt"
+    y, z = tmp_path / "y.eklt", tmp_path / "z.eklt"
+    write_tensor(x, TensorValue(F64, (4,), np.array([1.0, 2.0, 3.0, 4.0])))
+    write_tensor(j, TensorValue(SI64, (4,), np.array([3, 2, 1, 0])))
+    seen = []
+    compile_source, random_inputs = cli.compile_source, cli.random_inputs
+
+    def compiled(*args, **kwargs):
+        seen.append(("fast_math", kwargs.get("fast_math", False)))
+        return compile_source(*args, **kwargs)
+
+    def drawn(kernel, rng):
+        seen.append(("seed", rng.bit_generator.seed_seq.entropy))
+        return random_inputs(kernel, rng)
+
+    monkeypatch.setattr("eklc.cli.compile_source", compiled)
+    monkeypatch.setattr("eklc.cli.random_inputs", drawn)
+
+    argv = ["run", str(src), "--in", f"x={x}", "--in", f"j={j}",
+            "--out", f"y={y}", "--out", f"z={z}", "--seed", "3", "--fast-math", "--json"]
+    assert main(argv) == 0
+    (kernel,) = json.loads(capsys.readouterr().out)["kernels"]
+    assert (kernel["random_inputs"], kernel["outputs"]) == ([], {"y": str(y), "z": str(z)})
+    assert seen == [("fast_math", True)]
+    np.testing.assert_array_equal(read_tensor(y).data, [8.0, 6.0, 4.0, 2.0])
+
+    seen.clear()
+    z.unlink()
+    assert main(["run", str(src), "--out", f"z={z}"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "kernel two:", "  random inputs: x, j", f"  wrote z -> {z}"
+    ]
+    assert seen == [("fast_math", False), ("seed", 0)]
+    assert z.exists()
+
+    assert main(["check", bad]) == 1
+    assert "error" in capsys.readouterr().err
+
+    for argv, usage in [
+        (["run", str(src), "--in", "x"], None),
+        (["dump", str(src), "--stage", "nope"], "usage: eklc dump "),
+    ]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        if usage is None:
+            assert err.getvalue() == "error: --in expects NAME=PATH, got 'x'\n"
+        else:
+            assert err.getvalue().startswith(usage)
+            assert "invalid choice: 'nope'" in err.getvalue()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_repeated_calls_build_the_parser_once(good, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for _ in range(10):
+        assert main(["check", good]) == 0
+    # The main parser and one parser per subcommand.
+    assert len(built) <= 5, built
 
 
 def test_check_output_of_the_invalid_corpus_is_pinned(monkeypatch, capsys):

@@ -314,6 +314,28 @@ def test_oracle_reports_division_by_zero_with_a_location():
         eval_ast_oracle(kernel, inputs)
 
 
+@pytest.mark.parametrize("stage", ["typed", "optimized"])
+@pytest.mark.parametrize(
+    "text, width",
+    [
+        ("kernel k(in a: f64, out y: f64) { let y = a + 1e400; }", 64),
+        ("kernel k(in a: f32, out y: f32) { let y = a + 1e39; }", 32),
+        ("kernel k(in a: f32, out y: f32) { let y = 1e39; }", 32),
+    ],
+    ids=["f64_add", "f32_add", "f32_output"],
+)
+def test_oracle_traps_a_rational_out_of_a_float_range_as_the_evaluator_does(
+    text, width, stage
+):
+    kernel = kernels_of(_module(text, stage))[0]
+    message = rf"^t\.ekl:1:\d+: value out of range for f{width}$"
+    with pytest.raises(EvalError, match=message) as trap:
+        eval_kernel(kernel, {"a": 0.5})
+    with pytest.raises(EvalError, match=message) as oracle:
+        eval_ast_oracle(kernel, {"a": 0.5})
+    assert str(oracle.value) == str(trap.value)
+
+
 _IF_IN_A_GENERATOR = """
 ekl.program (
 {

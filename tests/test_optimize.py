@@ -112,6 +112,22 @@ def test_inexact_rational_constants_warn_when_narrowed():
     assert any("1/3" in w.message for w in result.warnings)
 
 
+@pytest.mark.parametrize(
+    "kind, constant",
+    [("f64", "1e400"), ("f32", "1e39"), ("si8", "300"), ("si32", "-5000000000")],
+)
+def test_out_of_range_rational_constants_warn_that_they_trap(kind, constant):
+    result = compile_source(
+        f"kernel k(in a: {kind}, out y: {kind}) {{ let y = a + {constant}; }}",
+        "t.ekl",
+        stage="optimized",
+    )
+    assert result.ok
+    assert [w.message for w in result.warnings] == [
+        f"rational constant is out of range for {kind}; evaluating it traps"
+    ]
+
+
 def test_exact_rational_constants_lower_silently():
     result = compile_source(
         "kernel k(in a: f32, out y: f32) { let y = a + 1/2; }",
