@@ -15,18 +15,32 @@ from .diagnostics import Diagnostic, Location, error
 
 KEYWORDS = {"kernel", "let", "out", "in", "if", "else", "true", "false"}
 
+# One match per token: the whitespace and comments before it, then the
+# token itself. After the longest run of whitespace and comments some
+# alternative always matches, so the engine never backtracks into that
+# run: `bad` takes a character no token rule accepts and `end` the end of
+# the source, and each match starts where the one before it ended. The
+# two most common kinds, names and punctuation, are told apart from the
+# rest by group number; `kw` and `ident` are the first two groups.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<skip>(?:\s|\#[^\n]*|//[^\n]*)+)
+    (?:\s|\#[^\n]*|//[^\n]*)*
+    (?:
+      (?P<kw>(?:%s)(?![A-Za-z0-9_]))
+    | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+    | (?P<punct>=\+|==|!=|<=|>=|\.\.\.|[-+*/<>=(){}\[\],;:])
+    | (?P<end>\Z)
     | (?P<rational>\d+/\d+)
     | (?P<number>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
     | (?P<integer>\d+)
     | (?P<indexlit>_\d+)
-    | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-    | (?P<punct>=\+|==|!=|<=|>=|\.\.\.|[-+*/<>=(){}\[\],;:])
-    """,
+    | (?P<bad>.)
+    )
+    """
+    % "|".join(sorted(KEYWORDS)),
     re.VERBOSE,
 )
+_KW, _IDENT, _PUNCT, _END = (_TOKEN_RE.groupindex[g] for g in ("kw", "ident", "punct", "end"))
 _EXPONENT_RE = re.compile(r"([^eE]*)[eE]([+-]?\d+)$")
 
 
@@ -108,43 +122,39 @@ def _number_value(text: str, lines: LineTable, pos: int) -> Fraction:
     return value * Fraction(10) ** exp
 
 
+def _literal_token(group: str, text: str, pos: int, lines: LineTable) -> Token:
+    """The token of a number or index literal, or the error of a character
+    that no token rule accepts."""
+    if group == "integer":
+        return Token("number", text, pos, lines, Fraction(int(text)))
+    if group == "indexlit":
+        return Token("indexlit", text, pos, lines, int(text[1:]))
+    if group == "rational":
+        num, den = text.split("/")
+        if int(den) == 0:
+            raise LexError(error(lines.location(pos, len(text)), f"zero denominator in {text!r}"))
+        return Token("number", text, pos, lines, Fraction(int(num), int(den)))
+    if group == "number":
+        return Token("number", text, pos, lines, _number_value(text, lines, pos))
+    raise LexError(error(lines.location(pos), f"illegal character {text!r}"))
+
+
 def tokenize(source: str, filename: str = "<ekl>") -> list[Token]:
     """Full token stream; comments and whitespace are dropped. Every token
     shares one `LineTable` of the source."""
     lines = LineTable(source, filename)
     tokens: list[Token] = []
     append = tokens.append
-    match = _TOKEN_RE.match
-    pos, n = 0, len(source)
-    while pos < n:
-        m = match(source, pos)
-        if m is None:
-            raise LexError(
-                error(lines.location(pos), f"illegal character {source[pos]!r}")
-            )
-        kind = m.lastgroup
-        end = m.end()
-        if kind == "skip":
-            pos = end
-            continue
-        lexeme = m.group()
-        if kind == "integer":
-            append(Token("number", lexeme, pos, lines, Fraction(int(lexeme))))
-        elif kind == "ident":
-            append(Token("kw" if lexeme in KEYWORDS else "ident", lexeme, pos, lines, lexeme))
-        elif kind == "punct":
-            append(Token("punct", lexeme, pos, lines))
-        elif kind == "indexlit":
-            append(Token("indexlit", lexeme, pos, lines, int(lexeme[1:])))
-        elif kind == "rational":
-            num, den = lexeme.split("/")
-            if int(den) == 0:
-                raise LexError(
-                    error(lines.location(pos, end - pos), f"zero denominator in {lexeme!r}")
-                )
-            append(Token("number", lexeme, pos, lines, Fraction(int(num), int(den))))
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastindex
+        text = m[group]
+        if group <= _IDENT:
+            append(Token("kw" if group == _KW else "ident", text, m.start(group), lines, text))
+        elif group == _PUNCT:
+            append(Token("punct", text, m.start(group), lines))
+        elif group == _END:
+            break
         else:
-            append(Token("number", lexeme, pos, lines, _number_value(lexeme, lines, pos)))
-        pos = end
-    append(Token("eof", "", pos, lines))
+            append(_literal_token(m.lastgroup, text, m.start(group), lines))
+    append(Token("eof", "", len(source), lines))
     return tokens

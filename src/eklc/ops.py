@@ -264,23 +264,23 @@ def subscript_rule(op: Operation, ctx: TypingContext) -> None:
     if not isinstance(src, ArrayType):
         raise ctx.contradict(f"subscript of non-array type {src}")
     slots = subscript_slots(op)
-    n_ellipsis = slots.count(".")
-    if n_ellipsis > 1:
-        raise ctx.contradict("at most one ellipsis is allowed in a subscript")
     rank = len(src.shape)
-    fixed = len(slots) - n_ellipsis
-    if n_ellipsis:
+    if "." in slots:
+        if slots.count(".") > 1:
+            raise ctx.contradict("at most one ellipsis is allowed in a subscript")
+        fixed = len(slots) - 1
         if fixed > rank:
             raise ctx.contradict(
                 f"subscript consumes {fixed} axes but array has rank {rank}"
             )
-    elif fixed != rank:
+        slots = slots.replace(".", ":" * (rank - fixed))  # as `expanded_slots`
+    elif len(slots) != rank:
         raise ctx.contradict(
-            f"subscript has {fixed} indexers but array has rank {rank}"
+            f"subscript has {len(slots)} indexers but array has rank {rank}"
         )
     kept: list[int] = []
     indices = iter(op.operands[1:])
-    for axis, kind in enumerate(expanded_slots(op, rank)):
+    for axis, kind in enumerate(slots):
         extent = src.shape[axis]
         if kind == ":":
             kept.append(extent)

@@ -56,8 +56,10 @@ SOURCE_SCALARS: dict[str, Type] = {
 }
 
 _CMP_TOKENS = {"==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
-_ADDSUB = {"+": "ekl.add", "-": "ekl.sub"}
-_MULDIV = {"*": "ekl.mul", "/": "ekl.div"}
+_ARITH = {"+": "ekl.add", "-": "ekl.sub", "*": "ekl.mul", "/": "ekl.div"}
+# Binary operator text -> precedence; a higher one binds tighter.
+_CMP = 0
+_PRECEDENCE = {**dict.fromkeys(_CMP_TOKENS, _CMP), "+": 1, "-": 1, "*": 2, "/": 2}
 
 
 class ParseError(Exception):
@@ -81,11 +83,13 @@ class Parser:
         self.outs: dict[str, Type] = {}  # declared outputs of current kernel
 
     # --- token helpers ------------------------------------------------------
+    #
+    # A token's text alone names a keyword or punctuation: no name, number
+    # or index literal has such a text. The parser reads `self.tokens`
+    # directly on its hot paths; `self.pos` never passes the end token.
 
-    def peek(self, ahead: int = 0) -> Token:
-        if ahead == 0:
-            return self.tokens[self.pos]  # `advance` never passes eof
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -94,29 +98,31 @@ class Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind in ("punct", "kw") and tok.text == text
+        return self.tokens[self.pos].text == text
 
     def accept(self, text: str) -> Token | None:
-        if self.at(text):
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text == text:
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, text: str, context: str) -> Token:
-        tok = self.accept(text)
-        if tok is None:
-            got = self.peek()
-            shown = got.text if got.kind != "eof" else "end of input"
-            self.error(got.loc, f"expected '{text}' {context}, found '{shown}'")
-            raise ParseError()
-        return tok
+        tok = self.tokens[self.pos]
+        if tok.text == text:
+            self.pos += 1
+            return tok
+        shown = tok.text if tok.kind != "eof" else "end of input"
+        self.error(tok.loc, f"expected '{text}' {context}, found '{shown}'")
+        raise ParseError()
 
     def expect_ident(self, context: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "ident":
             self.error(tok.loc, f"expected a name {context}, found '{tok.text}'")
             raise ParseError()
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def error(self, loc: Location, message: str) -> None:
         self.diagnostics.append(error(loc, message))
@@ -309,14 +315,13 @@ class Parser:
 
     def parse_extent(self) -> int:
         """An array extent or index bound: a literal or a folded constant."""
-        tok = self.peek()
-        nxt = self.peek(1)
+        tok = self.tokens[self.pos]
         if (
             tok.kind == "number"
             and tok.value.denominator == 1
-            and nxt.text in (",", "]", ">", ")")
+            and self.tokens[self.pos + 1].text in (",", "]", ">", ")")
         ):
-            self.advance()
+            self.pos += 1
             return int(tok.value)  # a number token is never negative
         return self._fold_constant_extent(tok.loc)
 
@@ -327,7 +332,7 @@ class Parser:
         saved_block, saved_scopes = self.block, self.scopes
         self.block, self.scopes = block, [{}]
         try:
-            value = self.parse_addsub()
+            value = self.parse_expr(_CMP + 1)
             block.append(make_yield(value, loc))
         finally:
             self.block, self.scopes = saved_block, saved_scopes
@@ -434,89 +439,114 @@ class Parser:
 
     # --- expressions ---------------------------------------------------------
 
-    def parse_expr(self) -> Value:
-        return self.parse_cmp()
-
-    def parse_cmp(self) -> Value:
-        left = self.parse_addsub()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in _CMP_TOKENS:
-            self.advance()
-            right = self.parse_addsub()
-            pred = StringAttr(_CMP_TOKENS[tok.text])
-            return self.emit_expr("ekl.cmp", [left, right], tok.loc, pred=pred)
-        return left
-
-    def parse_addsub(self) -> Value:
-        return self._parse_binary(_ADDSUB, self.parse_muldiv)
-
-    def parse_muldiv(self) -> Value:
-        return self._parse_binary(_MULDIV, self.parse_unary)
-
-    def _parse_binary(self, kinds: dict[str, str], parse_operand: Callable) -> Value:
-        """A left-associative chain of the operators in `kinds`."""
-        left = parse_operand()
-        tok = self.peek()
-        while tok.kind == "punct" and tok.text in kinds:
-            self.advance()
-            left = self.emit_expr(kinds[tok.text], [left, parse_operand()], tok.loc)
-            tok = self.peek()
-        return left
-
-    def parse_unary(self) -> Value:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "-":
-            self.advance()
-            return self.emit_expr("ekl.neg", [self.parse_unary()], tok.loc)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Value:
-        value = self.parse_primary()
-        while self.at("["):
-            loc = self.advance().loc
-            slots = self._parse_list(self.parse_subscript_slot, "]", "after the subscript")
-            indices = [v for v in slots if isinstance(v, Value)]
-            marks = "".join("i" if isinstance(v, Value) else v for v in slots)
-            value = self.emit(make_subscript(value, indices, EXPR, loc, marks))
+    def parse_expr(self, lowest: int = _CMP) -> Value:
+        """Binary operators of precedence `lowest` and above over unary
+        operands, in one operator-precedence loop. `* /` bind tighter than
+        `+ -`, which bind tighter than one comparison; arithmetic associates
+        to the left. An operator's op is emitted as soon as its right
+        operand is complete, so it follows the ops of both operands."""
+        tokens = self.tokens
+        value = self.parse_unary()
+        pending: list[tuple[int, Token, Value]] = []  # (precedence, operator, left)
+        while True:
+            tok = tokens[self.pos]
+            prec = _PRECEDENCE.get(tok.text, -1)
+            if prec < lowest:
+                break
+            self.pos += 1
+            while pending and pending[-1][0] >= prec:
+                value = self._emit_binary(*pending.pop(), value)
+            pending.append((prec, tok, value))
+            if prec == _CMP:
+                lowest = _CMP + 1  # a comparison takes no comparison operand
+            value = self.parse_unary()
+        while pending:
+            value = self._emit_binary(*pending.pop(), value)
         return value
 
-    def parse_subscript_slot(self) -> Value | str:
-        """An index value, or the slot character of `:` or `...`."""
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in (":", "..."):
-            self.advance()
-            return tok.text[0]
-        return self.parse_expr()
+    def _emit_binary(self, prec: int, tok: Token, left: Value, right: Value) -> Value:
+        if prec == _CMP:
+            pred = StringAttr(_CMP_TOKENS[tok.text])
+            return self.emit_expr("ekl.cmp", [left, right], tok.loc, pred=pred)
+        return self.emit_expr(_ARITH[tok.text], [left, right], tok.loc)
+
+    def parse_unary(self) -> Value:
+        """Prefix negations, a primary, then its subscripts."""
+        tok = self.tokens[self.pos]
+        if tok.text == "-":
+            self.pos += 1
+            return self.emit_expr("ekl.neg", [self.parse_unary()], tok.loc)
+        value = self.parse_primary()
+        while self.tokens[self.pos].text == "[":
+            value = self._parse_subscript(value)
+        return value
+
+    def _parse_subscript(self, source: Value) -> Value:
+        """`[slot, ...]` after `source`. A slot that is a bare name or index
+        literal takes no expression parse."""
+        tokens = self.tokens
+        loc = tokens[self.pos].loc
+        self.pos += 1
+        indices: list[Value] = []
+        marks = []
+        while True:
+            tok = tokens[self.pos]
+            kind = tok.kind
+            if tok.text in (":", "..."):
+                self.pos += 1
+                marks.append(tok.text[0])
+            else:
+                value = None
+                if (kind == "ident" or kind == "indexlit") and tokens[self.pos + 1].text in (",", "]"):
+                    # An unknown name is left to the expression parse,
+                    # which reports it.
+                    if kind == "ident":
+                        value = self.lookup(tok.text)
+                    else:
+                        value = self.emit(index_literal(tok.value, tok.loc))
+                if value is None:
+                    value = self.parse_expr()
+                else:
+                    self.pos += 1
+                indices.append(value)
+                marks.append("i")
+            if tokens[self.pos].text != ",":
+                break
+            self.pos += 1
+        self.expect("]", "after the subscript")
+        return self.emit(make_subscript(source, indices, EXPR, loc, "".join(marks)))
 
     def parse_primary(self) -> Value:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return self.emit(number_literal(tok.value, tok.loc))
-        if tok.kind == "indexlit":
-            self.advance()
-            return self.emit(index_literal(tok.value, tok.loc))
-        if tok.kind == "kw" and tok.text in ("true", "false"):
-            self.advance()
-            return self.emit(bool_literal(tok.text == "true", tok.loc))
-        if tok.kind == "kw" and tok.text == "if":
-            return self.parse_if_expr()
-        if tok.kind == "ident":
-            self.advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "ident":
+            self.pos += 1
             value = self.lookup(tok.text)
             if value is None:
                 self.error(tok.loc, f"unknown name '{tok.text}'")
                 return self._poison(tok.loc)
             return value
-        if tok.kind == "punct" and tok.text == "(":
-            self.advance()
+        if kind == "number":
+            self.pos += 1
+            return self.emit(number_literal(tok.value, tok.loc))
+        if kind == "indexlit":
+            self.pos += 1
+            return self.emit(index_literal(tok.value, tok.loc))
+        text = tok.text
+        if text == "(":
+            self.pos += 1
             first = self.parse_expr()
             if self.accept(","):
                 rest = self._parse_list(self.parse_expr, ")", "after the stack elements")
                 return self.emit_expr("ekl.stack", [first, *rest], tok.loc)
             self.expect(")", "after the expression")
             return first
-        self.error(tok.loc, f"expected an expression, found '{tok.text}'")
+        if text == "true" or text == "false":
+            self.pos += 1
+            return self.emit(bool_literal(text == "true", tok.loc))
+        if text == "if":
+            return self.parse_if_expr()
+        self.error(tok.loc, f"expected an expression, found '{text}'")
         raise ParseError()
 
     def parse_if_expr(self) -> Value:

@@ -10,11 +10,16 @@ types by narrowing each value's type in place.
 
 Every op with a rule runs once from the seed. After that an op runs again
 only when a value it read at its last run has tightened: its
-`TypingContext` records each value the rule reads through `sample`, and
-a tightened value re-enqueues exactly those readers. The op that only
-wrote a value is not re-run for it, so a rule that reads nothing it
-deduces (an output, an `if` condition) runs once. This is
-how MLIR's `DataFlowSolver` tracks the dependencies of a program point.
+`TypingContext` records each value the rule reads through `sample` while
+that value's interval is not exact, and a tightened value re-enqueues
+exactly the readers recorded for it. A read of an exact value (`lo is
+hi`) is not recorded, because such a value cannot tighten: no two
+distinct types fit each other both ways under `_fits`, so a meet into an
+exact interval either leaves it as it is or raises a contradiction, which
+fails the deducing op and re-enqueues nothing. The op that only wrote a
+value is not re-run for it, so a rule that reads nothing it deduces (an
+output, an `if` condition) runs once. This is how MLIR's
+`DataFlowSolver` tracks the dependencies of a program point.
 It needs one invariant: a rule reads bounds only through its context,
 never through the checker's state or a value's interval directly; what
 else it looks at (attributes, the ops defining its operands, a value's
@@ -37,6 +42,7 @@ from .diagnostics import Diagnostic, Location, error
 from .ir import Operation, REGISTRY, Value
 from .types import (
     EXPR,
+    ArrayType,
     RationalType,
     Type,
     is_numeric_scalar,
@@ -54,7 +60,9 @@ def _fits(t: Type, u: Type) -> bool:
     """Subtyping extended with the rational-literal conversion carve-out.
 
     A compile-time rational (or rational-element array) fits any numeric
-    machine type of the same shape; exactness is enforced at lowering.
+    machine type of the same shape; exactness is enforced at lowering. As
+    in subtyping, an array fits only an array, so a rank-0 array and a
+    scalar do not fit each other.
     """
     key = (t, u)
     r = _FITS.get(key)
@@ -66,7 +74,11 @@ def _fits(t: Type, u: Type) -> bool:
 def _fits_uncached(t: Type, u: Type) -> bool:
     if is_subtype(t, u):
         return True
-    if isinstance(scalar_of(t), RationalType) and shape_of(t) == shape_of(u):
+    if (
+        isinstance(scalar_of(t), RationalType)
+        and isinstance(t, ArrayType) is isinstance(u, ArrayType)
+        and shape_of(t) == shape_of(u)
+    ):
         return is_numeric_scalar(scalar_of(u))
     return False
 
@@ -152,39 +164,42 @@ class CheckerState:
     bounds: dict[Value, Interval] = field(default_factory=dict)
     iterations: int = 0
 
-    def interval(self, v: Value) -> Interval:
-        iv = self.bounds.get(v)
-        if iv is None:
-            iv = Interval()
-            self.bounds[v] = iv
-        return iv
-
 
 class TypingContext:
     """What a typing rule may observe and deduce.
 
     Rules are pure observations plus constraint additions; they never
     mutate the IR. A rule reads bounds only through `sample`, which
-    records the value it reads, so that the checker re-runs the rule when
-    that value tightens (see the module docstring).
+    records each value it reads that can still tighten, so that the
+    checker re-runs the rule when that value does (see the module
+    docstring).
     """
 
-    __slots__ = ("checker", "op", "deductions", "reads")
+    __slots__ = ("bounds", "op", "deductions", "reads")
 
     def __init__(self, checker: "FixPointTypeChecker", op: Operation) -> None:
-        self.checker = checker
+        self.bounds = checker.state.bounds
         self.op = op
         self.deductions: list[tuple[Value, Type, bool]] = []
         self.reads: list[Value] = []
 
     def sample(self, v: Value) -> Type | None:
-        """Best current guess for a value's type, or None if unconstrained."""
-        self.reads.append(v)
-        iv = self.checker.state.bounds.get(v)
-        s = None if iv is None else iv.sample()
-        if s is None and v.type is not EXPR:
-            return v.type
-        return s
+        """Best current guess for a value's type, or None if unconstrained.
+
+        Records `v` as read unless its interval is exact, which no later
+        deduction can tighten (see the module docstring)."""
+        iv = self.bounds.get(v)
+        if iv is None:
+            self.reads.append(v)
+            return None if v.type is EXPR else v.type
+        lo = iv.lo
+        if lo is None:
+            self.reads.append(v)
+            hi = iv.hi
+            return v.type if hi is None and v.type is not EXPR else hi
+        if lo is not iv.hi:
+            self.reads.append(v)
+        return lo
 
     def exact(self, v: Value, t: Type) -> None:
         """Deduce that `v` has type `t`."""
@@ -255,11 +270,11 @@ class FixPointTypeChecker:
     def seed(self) -> None:
         """Pre-typed values (declared kernel arguments, literals) seed the
         state with their exact types."""
+        bounds = self.state.bounds
         for op in self._by_pos:
             for v in _defined_values(op):
                 if v.type is not EXPR:
-                    iv = self.state.interval(v)
-                    iv.lo = iv.hi = v.type
+                    bounds[v] = Interval(v.type, v.type)
 
     def _invalidate(self, v: Value) -> None:
         """Re-enqueue every op that read `v` at its last run."""
@@ -278,13 +293,17 @@ class FixPointTypeChecker:
         tightened = []
         try:
             self._rules[pos](op, ctx)
-            run = self._last_run[pos]
+            run = (pos, self._last_run[pos])
             for v in ctx.reads:
-                self._readers.setdefault(v, []).append((pos, run))
+                self._readers.setdefault(v, []).append(run)
+            bounds, poisoned = self.state.bounds, self._poisoned
             for v, t, exact in ctx.deductions:
-                if v not in self._poisoned and meet_into(
-                    self.state.interval(v), t, exact
-                ):
+                if v in poisoned:
+                    continue
+                iv = bounds.get(v)
+                if iv is None:
+                    iv = bounds[v] = Interval()
+                if meet_into(iv, t, exact):
                     tightened.append(v)
         except ContradictionError as exc:
             self._fail(pos, exc)
@@ -294,8 +313,9 @@ class FixPointTypeChecker:
         """Iterate to fix-point. Returns True when no contradictions arose;
         reaching the iteration ceiling first is an error diagnostic."""
         self.seed()
-        for pos in range(len(self._by_pos)):
-            self._push(pos)
+        # Every op with a rule, in post-order: a sorted list is a heap.
+        self._queue = [pos for pos, rule in enumerate(self._rules) if rule is not None]
+        self._queued = set(self._queue)
         queue, queued, failed = self._queue, self._queued, self._failed
         poisoned, state = self._poisoned, self.state
         while queue:

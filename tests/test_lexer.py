@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eklc.diagnostics import Location
 from eklc.lexer import LexError, tokenize
@@ -114,3 +117,60 @@ def test_locations_are_immutable_hashable_values():
     with pytest.raises(AttributeError):
         loc.line = 5
     assert str(Location()) == "<unknown>:0:0"
+
+
+# Whitespace and comments, the only text allowed between two tokens.
+_GAP = re.compile(r"(?:\s|#[^\n]*|//[^\n]*)*")
+# The start of a token or of a gap; a position where none matches holds
+# an illegal character.
+_STARTS = re.compile(r"\s|#|//|\d|_\d|[A-Za-z]|\.\.\.|!=|[-+*/<>=(){}\[\],;:]")
+_ALPHABET = (
+    list("0123456789") + list("aeEkxZ") + ["in", "_", " ", "\t", "\r", "\n", "#", "//"]
+    + list("+-*/<>=!(){}[],;:.") + ["...", "$", "?", '"', "\u0663"]
+)
+
+
+def _line_col(source: str, pos: int) -> tuple[int, int]:
+    line = source.count("\n", 0, pos) + 1
+    return line, pos - (source.rfind("\n", 0, pos) + 1) + 1
+
+
+def test_a_unicode_digit_is_a_number():
+    (tok, _) = tokenize("\u0663", "t.ekl")
+    assert (tok.kind, tok.value) == ("number", 3)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_ALPHABET), max_size=30).map("".join))
+def test_tokens_cover_the_source_apart_from_whitespace_and_comments(source):
+    """Either the lexer stops at the first character no rule accepts, or
+    its tokens are exactly the source text between gaps of whitespace and
+    comments, each at the line and column counted by hand."""
+    try:
+        tokens = tokenize(source, "t.ekl")
+    except LexError as exc:
+        diag = exc.diagnostic
+        starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+        pos = starts[diag.location.line - 1] + diag.location.col - 1
+        # The text before the error lexes cleanly and ends in a gap.
+        before = tokenize(source[:pos], "t.ekl")[:-1]
+        end = before[-1].pos + len(before[-1].text) if before else 0
+        assert _GAP.fullmatch(source, end, pos)
+        if diag.message.startswith("illegal character"):
+            assert diag.message == f"illegal character {source[pos]!r}"
+            assert not _STARTS.match(source, pos)
+        else:
+            assert re.match(r"\d+/0+(?!\d)", source[pos:]), diag.message
+        return
+    end = 0
+    for tok in tokens[:-1]:
+        assert source[tok.pos : tok.pos + len(tok.text)] == tok.text
+        assert _GAP.fullmatch(source, end, tok.pos), (source, tok.text)
+        line, col = _line_col(source, tok.pos)
+        assert tuple(tok.loc) == ("t.ekl", line, col, line, col + len(tok.text))
+        if tok.kind == "number":
+            assert tok.value == Fraction(tok.text)
+        end = tok.pos + len(tok.text)
+    eof = tokens[-1]
+    assert eof.kind == "eof" and _GAP.fullmatch(source, end)
+    assert tuple(eof.loc) == ("t.ekl", *_line_col(source, len(source)), 0, 0)

@@ -31,6 +31,7 @@ from eklc.types import (
     SI8,
     SI16,
     SI32,
+    SI64,
     ArrayType,
     IndexType,
 )
@@ -196,6 +197,31 @@ def test_a_successful_meet_leaves_lower_fitting_upper():
                 assert _fits(interval.lo, interval.hi), (lo, hi, t, exact)
             if exact:
                 assert interval.lo is t and interval.hi is t, (lo, hi, t)
+
+
+# Every scalar kind, `index<1..9>`, and arrays of each over small shapes,
+# rank 0 included (`parse_ir` can build one; the parser cannot).
+_SCALARS = [BOOL, SI8, SI16, SI32, SI64, F32, F64, RATIONAL] + [IndexType(b) for b in range(1, 10)]
+FIT_UNIVERSE = (
+    _SCALARS
+    + [ArrayType(s, shape) for s in _SCALARS for shape in ((), (1,), (2,), (3,), (2, 3), (3, 2))]
+    + [EXPR]
+)
+
+
+def test_no_two_types_fit_each_other_both_ways():
+    """`_fits` is antisymmetric, so an interval collapsed on one type can
+    never tighten: a meet into it changes nothing or is a contradiction.
+    This is why the checker records no reader of an exact value."""
+    for t, u in itertools.product(FIT_UNIVERSE, FIT_UNIVERSE):
+        assert t is u or not (_fits(t, u) and _fits(u, t)), (t, u)
+    for t, u, exact in itertools.product(FIT_UNIVERSE, FIT_UNIVERSE, (True, False)):
+        interval = Interval(t, t)
+        try:
+            changed = meet_into(interval, u, exact)
+        except ContradictionError:
+            continue
+        assert not changed and interval.lo is t and interval.hi is t, (t, u, exact)
 
 
 @pytest.mark.parametrize(
