@@ -106,7 +106,7 @@ def cmd_dump(args) -> int:
     result = compile_source(
         source, args.file, stage=args.stage, fast_math=args.fast_math
     )
-    failed = _emit(result.diagnostics + result.warnings, source)
+    failed = _emit(result.diagnostics, source)
     if failed or result.module is None:
         return EXIT_DIAGNOSTICS
     sys.stdout.write(print_ir(result.module))
@@ -119,7 +119,7 @@ def cmd_run(args) -> int:
     _check_seed(args.seed)
     source = _read_source(args.file)
     result = compile_source(source, args.file, fast_math=args.fast_math)
-    failed = _emit(result.diagnostics + result.warnings, source)
+    failed = _emit(result.diagnostics, source)
     if failed or result.module is None:
         return EXIT_DIAGNOSTICS
     rng = np.random.default_rng(args.seed)

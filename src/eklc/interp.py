@@ -66,7 +66,8 @@ from .ir import (
     kernel_outputs,
     kernels_of,
 )
-from .ops import expanded_slots
+from .ops import cmp_type, expanded_slots
+from .tensor_io import _FRACTION, _RATIO
 from .types import (
     F64,
     ArrayType,
@@ -161,12 +162,6 @@ def _attr_value(attr):
     if isinstance(attr, (RationalAttr, IntAttr)):
         return attr.value
     raise EvalError(f"cannot evaluate attribute {attr!r}")
-
-
-# Exact (numerator, denominator) of each element, lowest terms and a
-# positive denominator: Fractions, ints, bools and floats all provide it.
-_RATIO = np.frompyfunc(operator.methodcaller("as_integer_ratio"), 1, 2)
-_FRACTION = np.frompyfunc(Fraction, 2, 1)
 
 
 # An array takes one denominator, the lcm of its own, only while that lcm
@@ -512,15 +507,18 @@ class _Evaluator:
         env[op.result] = -_convert(x, scalar_of(rt), op)
 
     def _cmp(self, op: Operation, env, grid) -> None:
+        """Compare in the operands' promoted type, the one that
+        `materialize_casts` casts them to: two rationals exactly, by
+        cross-multiplying, and two kinds with no common type in f64."""
         rt = op.result.type
         k, rank = len(grid), len(shape_of(rt))
         a, b = (_get(env, v, k, rank) for v in op.operands)
-        kinds = [scalar_of(v.type) for v in op.operands]
-        if any(isinstance(t, FloatType) for t in kinds):
-            a, b = _convert(a, F64, op), _convert(b, F64, op)
-        elif any(isinstance(t, RationalType) for t in kinds):
+        common = cmp_type(op) or F64
+        if isinstance(common, RationalType):
             a, b = _Pair.of(a), _Pair.of(b)
             a, b = a.num * b.den, b.num * a.den
+        else:
+            a, b = _convert(a, common, op), _convert(b, common, op)
         self.counters.comparisons += _points(grid, rt)
         env[op.result] = np.asarray(_CMP_FUNCS[op.attrs["pred"].value](a, b))
 
@@ -722,17 +720,47 @@ def _holds_fractions(x) -> bool:
 
 
 def _to_float(value, scalar: FloatType, op: Operation):
-    """An oracle value in double precision: a float, or a float array. A
-    rational past the finite range of `scalar` traps at `op`, as the
-    evaluator's conversion of a rational does."""
-    is_object = isinstance(value, np.ndarray) and value.dtype == object
-    for x in value.flat if is_object else (value,):
-        if isinstance(x, Fraction):
-            try:
-                rational_to_float(x, scalar)
-            except OverflowError:
-                raise EvalError(f"{op.location}: value out of range for {scalar}") from None
-    return np.asarray(value, dtype=np.float64) if np.shape(value) else float(value)
+    """An oracle value rounded to `scalar` and held in double precision: a
+    float, or a float array. A rational past the finite range of `scalar`
+    traps at `op`, as the evaluator's conversion of a rational does."""
+    for x in np.ravel(value) if _holds_fractions(value) else ():
+        try:
+            rational_to_float(x, scalar)
+        except OverflowError:
+            raise EvalError(f"{op.location}: value out of range for {scalar}") from None
+    out = np.asarray(value, dtype=np.float64)
+    if scalar.width == 32:
+        with np.errstate(over="ignore"):
+            out = out.astype(np.float32).astype(np.float64)
+    return out if out.ndim else float(out)
+
+
+def _to_int(value, scalar: Type, op: Operation):
+    """An oracle value of Fractions truncated toward zero, as `int` does,
+    and held as Python ints: an int, or an int64 array. A value that the
+    dtype of `scalar` cannot hold traps at `op`."""
+    info = np.iinfo(dtype_for(scalar))
+    out = [int(x) for x in np.ravel(value)]
+    if any(not info.min <= x <= info.max for x in out):
+        raise EvalError(f"{op.location}: value out of range for {scalar}")
+    if not np.ndim(value):
+        return out[0]
+    return np.array(out, dtype=np.int64).reshape(np.shape(value))
+
+
+def _to_kind(value, scalar: Type, op: Operation):
+    """An oracle value in the kind `scalar`, as the evaluator converts it
+    to a machine kind: rounded to a float kind, `!= 0` in a bool kind,
+    and a Fraction truncated to an integer or index kind. A rational kind
+    keeps it."""
+    if isinstance(scalar, FloatType):
+        return _to_float(value, scalar, op)
+    if isinstance(scalar, BoolType):
+        out = np.asarray(value) != 0
+        return out if out.ndim else bool(out)
+    if isinstance(scalar, (IntType, IndexType)) and _holds_fractions(value):
+        return _to_int(value, scalar, op)
+    return value
 
 
 def _ieee_divide(a, b):
@@ -751,16 +779,7 @@ def _declared(value, scalar: Type, op: Operation):
     kinds = (IntType, IndexType, FloatType)
     if not _holds_fractions(value) or not isinstance(scalar, kinds):
         return value
-    if isinstance(scalar, FloatType):
-        out = np.asarray(_to_float(value, scalar, op)).astype(f"float{scalar.width}")
-    else:
-        dtype = f"int{scalar.width if isinstance(scalar, IntType) else 64}"
-        out = np.array([int(x) for x in np.ravel(value)], dtype=object)
-        info = np.iinfo(dtype)
-        if ((out < info.min) | (out > info.max)).any():
-            raise EvalError(f"{op.location}: value out of range for {scalar}")
-        out = out.astype(dtype)
-    return out.reshape(np.shape(value))[()]
+    return np.asarray(_to_kind(value, scalar, op)).astype(dtype_for(scalar))[()]
 
 
 def eval_ast_oracle(
@@ -769,10 +788,13 @@ def eval_ast_oracle(
     """Dynamically typed tree-walking baseline evaluator.
 
     Ignores the deduced machine types except for input binding,
-    association index extents and declared outputs: rationals stay exact
-    Fractions until an output declares a machine type, and float
-    arithmetic is uniformly double precision. Used to cross-check the
-    instrumented evaluator and every later pipeline stage.
+    association index extents, casts, declared outputs, and the two
+    conversions that `materialize_casts` makes explicit: a rational
+    operand of machine-typed arithmetic takes the result's kind, and a
+    comparison computes in the promoted kind of its operands. Otherwise
+    rationals stay exact Fractions, and float arithmetic is double
+    precision. Used to cross-check the instrumented evaluator and every
+    later pipeline stage.
     """
     env: dict[Value, object] = {}
     outputs: dict[str, object] = {}
@@ -823,7 +845,11 @@ def eval_ast_oracle(
                 value = int(value)
             env[op.result] = value
         elif kind in _ARITH_FUNCS:
-            a, b = _align(env[op.operands[0]], env[op.operands[1]], op)
+            # A rational operand takes the result's machine kind first, as
+            # the compiled stages cast it.
+            scalar = scalar_of(op.result.type)
+            a, b = (env[v] for v in op.operands)
+            a, b = (_to_kind(x, scalar, op) if _holds_fractions(x) else x for x in (a, b))
             if kind == "ekl.div" and not (_holds_fractions(a) or _holds_fractions(b)):
                 # Floats and machine integers divide to a float.
                 env[op.result] = _ieee_divide(a, b)
@@ -835,12 +861,12 @@ def eval_ast_oracle(
         elif kind == "ekl.neg":
             env[op.result] = -env[op.operands[0]]
         elif kind == "ekl.cmp":
-            a, b = _align(env[op.operands[0]], env[op.operands[1]], op)
-            env[op.result] = _CMP_FUNCS[op.attrs["pred"].value](
-                np.asarray(a), np.asarray(b)
-            ) if np.shape(a) or np.shape(b) else _CMP_FUNCS[
-                op.attrs["pred"].value
-            ](a, b)
+            common = cmp_type(op) or F64
+            a, b = (_to_kind(env[v], common, op) for v in op.operands)
+            pred = _CMP_FUNCS[op.attrs["pred"].value]
+            if np.shape(a) or np.shape(b):
+                a, b = np.asarray(a), np.asarray(b)
+            env[op.result] = pred(a, b)
         elif kind == "ekl.subscript":
             src = np.asarray(env[op.operands[0]])
             key: list = []
@@ -887,8 +913,8 @@ def eval_ast_oracle(
         elif kind == "ekl.cast":
             target = scalar_of(op.result.type)
             value = env[op.operands[0]]
-            if isinstance(target, FloatType):
-                env[op.result] = _to_float(value, target, op)
+            if isinstance(target, (FloatType, BoolType)):
+                env[op.result] = _to_kind(value, target, op)
             elif isinstance(target, RationalType):
                 env[op.result] = _as_fractions(value)
             else:
@@ -904,29 +930,6 @@ def eval_ast_oracle(
             pass
         else:
             raise EvalError(f"oracle cannot evaluate op '{op.kind}'")
-
-    def _align(a, b, op: Operation):
-        # Rationals mix with floats by falling to double precision. The
-        # evaluator converts the operands of an arith op to its result
-        # type, and those of a comparison to f64.
-        scalar = F64 if op.kind == "ekl.cmp" else scalar_of(op.result.type)
-        a_frac = isinstance(a, Fraction) or (
-            isinstance(a, np.ndarray) and a.dtype == object
-        )
-        b_frac = isinstance(b, Fraction) or (
-            isinstance(b, np.ndarray) and b.dtype == object
-        )
-        a_float = isinstance(a, float) or (
-            isinstance(a, np.ndarray) and np.issubdtype(a.dtype, np.floating)
-        )
-        b_float = isinstance(b, float) or (
-            isinstance(b, np.ndarray) and np.issubdtype(b.dtype, np.floating)
-        )
-        if a_frac and b_float:
-            a = _to_float(a, scalar, op)
-        if b_frac and a_float:
-            b = _to_float(b, scalar, op)
-        return a, b
 
     block = kernel.body()
     for arg, (name, _) in zip(block.args, kernel_inputs(kernel)):

@@ -3,8 +3,8 @@
 Three stages, each idempotent and semantics-preserving:
 
 - `simplify`: exact constant folding over rationals, integers and
-  booleans, algebraic identities, subscript-of-stack resolution, and dead
-  code elimination.
+  booleans, choices on constant conditions dissolved, algebraic
+  identities, subscript-of-stack resolution, and dead code elimination.
 - `materialize_casts`: inserts explicit cast ops where deduced operand
   types differ from the computed type, and expands `...` subscripts.
 - `to_generator_form`: rewrites whole-array elementwise computation into
@@ -41,6 +41,7 @@ from .ops import (
     _EXACT,
     CMP_PREDICATES,
     _literal_value,
+    cmp_type,
     expanded_slots,
     make_assoc,
     make_cast,
@@ -56,7 +57,7 @@ from .types import (
     IntType,
     RationalType,
     Type,
-    promote,
+    rational_cast,
     rational_fits_exactly,
     scalar_of,
     shape_of,
@@ -132,16 +133,17 @@ _CMP_PY = {pred: getattr(operator, pred) for pred in CMP_PREDICATES}
 
 def _exact_value(op: Operation) -> Fraction | bool | None:
     """The exact value of an arithmetic, negation or comparison op whose
-    operands are all literals. None for any other op, for a division by
-    zero, which stays a runtime error, and for arithmetic on an operand
-    that the result type does not hold exactly, which it would round."""
+    operands are all literals, compared in their promoted type. None for
+    any other op, a division by zero, which stays a runtime error, and
+    where a cast to that type or the result type would round or trap."""
     if op.kind != "ekl.cmp" and op.kind not in _EXACT:
         return None
     values = [_literal_value(v) for v in op.operands]
     if any(v is None for v in values):
         return None
     if op.kind == "ekl.cmp":
-        return _CMP_PY[op.attrs["pred"].value](*values)
+        values = [rational_cast(x, cmp_type(op)) for x in values]
+        return None if None in values else _CMP_PY[op.attrs["pred"].value](*values)
     if not all(rational_fits_exactly(v, op.result.type) for v in values):
         return None
     if op.kind == "ekl.div" and values[1] == 0:
@@ -212,7 +214,7 @@ def _try_choice(op: Operation) -> bool:
     return _forward(op, op.operands[1 if cond else 2])
 
 
-SIMPLIFY_RULES = (_try_fold, _try_identity, _try_stack_subscript)
+SIMPLIFY_RULES = (_try_fold, _try_identity, _try_stack_subscript, _try_choice)
 
 
 def simplify(module: Operation) -> Operation:
@@ -247,8 +249,7 @@ def _make_explicit(op: Operation) -> bool:
         if not isinstance(rs, IndexType):  # index arithmetic keeps its bounds
             _cast_operands_to(op, list(range(len(op.operands))), rs)
     elif kind == "ekl.cmp":
-        sa, sb = (scalar_of(v.type) for v in op.operands)
-        common = promote(sa, sb)
+        common = cmp_type(op)
         if common is not None and not isinstance(common, RationalType):
             _cast_operands_to(op, [0, 1], common)
     elif kind == "ekl.choice":
@@ -367,6 +368,4 @@ def to_generator_form(module: Operation) -> Operation:
     """Lower all whole-array computation into generator trees."""
     rewrite(module, (_scalarize,))
     _licm(module)
-    for block in module.regions:
-        _dce_block(block)
     return module

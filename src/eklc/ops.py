@@ -47,6 +47,7 @@ from .types import (
     index_add_bound,
     is_arithmetic_type,
     is_numeric_scalar,
+    promote,
     scalar_of,
     shape_of,
     with_shape,
@@ -215,6 +216,12 @@ def cmp_rule(op: Operation, ctx: TypingContext) -> None:
             raise ctx.contradict(f"cannot compare values of type {s}")
     combined = _combine(ctx, [with_shape(RATIONAL, shape_of(s)) for s in samples], "broadcast shape")
     ctx.exact(op.result, with_shape(BOOL, shape_of(combined)))
+
+
+def cmp_type(op: Operation) -> Type | None:
+    """The type that comparison `op` computes in: the promoted scalar type
+    of its operands, or None when they have none."""
+    return promote(*(scalar_of(v.type) for v in op.operands))
 
 
 def subscript_slots(op: Operation) -> str:

@@ -1,11 +1,14 @@
-"""Optimization passes over generator-form modules.
+"""Optimization passes over generator-form modules, which
+`eklc.pipeline.PASSES` runs in the order listed here.
 
 - `lift_reductions`: sum factorization. Each summand of a reduction body is
   factored by peeling one bound index at a time into hoisted intermediate
   tensors, turning one O(n^(o+r)) loop nest into a chain of smaller sweeps.
   Applied only where reassociation is exact (rational or integer elements)
   unless fast-math is requested.
-- `if_to_choice`: dissolves choices whose condition is a constant.
+- `if_to_choice`: dissolves choices on a constant condition that
+  `simplify` kept because their chosen operand needed a cast, which
+  `materialize_casts` has since made explicit.
 - `fuse_producers`: inlines single-use generators into their one consumer
   when the read is a bijective per-element gather.
 - `lower_rationals`: narrows rational literals to the machine types they
@@ -50,9 +53,6 @@ from .types import (
     rational_in_range,
     scalar_of,
 )
-
-
-# --- shared helpers ----------------------------------------------------------
 
 
 def _ops_inside(root: Operation) -> set[int]:
@@ -343,7 +343,8 @@ def _emit_table(
 
 
 def if_to_choice(module: Operation) -> Operation:
-    """Choices on a constant condition dissolve into the chosen operand."""
+    """Choices on a constant condition dissolve into the chosen operand,
+    now of the choice's type."""
     return rewrite(module, (_try_choice,))
 
 
@@ -447,11 +448,3 @@ def lower_rationals(module: Operation) -> list[Diagnostic]:
 
     rewrite(module, (lower,))
     return warnings
-
-
-def optimize(module: Operation, fast_math: bool = False) -> list[Diagnostic]:
-    """Full optimization pipeline; returns accumulated warnings."""
-    lift_reductions(module, fast_math=fast_math)
-    if_to_choice(module)
-    fuse_producers(module)
-    return lower_rationals(module)

@@ -4,8 +4,8 @@ A literal is typed from the parse on; every other expression value starts
 out typed `expr`, and its concrete type is deduced later by the fix-point
 checker. Constant expressions in type positions are built in an isolated
 block, wrapped in an ephemeral `ekl.program` container, and folded
-immediately by type checking that container and running the compiler's
-exact local rewrites over it.
+immediately by `type_check` and `simplify`, the pipeline's own first two
+passes, run on that container.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 from .diagnostics import Diagnostic, Location, error
 from .ir import Block, Operation, StringAttr, TypeAttr, Value
 from .lexer import LexError, Token, tokenize
-from .normalize import SIMPLIFY_RULES, _exact_value, _try_choice, rewrite
+from .normalize import _exact_value, simplify
 from .ops import (
     _literal_value,
     bool_literal,
@@ -564,7 +564,7 @@ def fold_constexpr(
     block: Block, loc: Location, diagnostics: list[Diagnostic]
 ) -> Fraction | bool | None:
     """Type check an isolated constant-expression block and fold it with
-    the compiler's exact local rewrites.
+    `simplify`, as the pipeline's first two passes do.
 
     Returns the yielded literal's value, or None after recording
     diagnostics prefixed with the constant expression's location.
@@ -572,7 +572,7 @@ def fold_constexpr(
     container = Operation("ekl.program", regions=[block], location=loc)
     _, diags = type_check(container)
     if not diags:
-        rewrite(container, SIMPLIFY_RULES + (_try_choice,))
+        simplify(container)
         value = _literal_value(block.ops[-1].operands[0])
         if value is not None:
             return value

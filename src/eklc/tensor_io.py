@@ -64,7 +64,7 @@ _CODE_BY_KIND = {kind: (code, dt) for code, kind, dt in _DTYPE_CODES}
 _KIND_BY_CODE = {code: (kind, dt) for code, kind, dt in _DTYPE_CODES}
 _FRACTION = np.frompyfunc(Fraction, 2, 1)
 # Exact (numerator, denominator) of each element, lowest terms and a
-# positive denominator: Fractions, ints and floats all provide it.
+# positive denominator: Fractions, ints, bools and floats all provide it.
 _RATIO = np.frompyfunc(operator.methodcaller("as_integer_ratio"), 1, 2)
 
 

@@ -395,6 +395,17 @@ def rational_in_range(value: Fraction, t: Type) -> bool:
     return True
 
 
+def rational_cast(value: Fraction | bool, t: Type | None) -> Fraction | bool | None:
+    """The exact value of a cast of a constant to `t`: `!= 0` in a bool,
+    truncated toward zero in an integer or index type. None where the cast
+    traps or rounds, and for no type."""
+    if isinstance(t, BoolType):
+        return value != 0
+    if isinstance(t, (IndexType, IntType)):
+        value = Fraction(math.trunc(value))
+    return value if t is not None and rational_fits_exactly(value, t) else None
+
+
 def rational_fits_exactly(value: Fraction, t: Type) -> bool:
     """Whether a rational constant is exactly representable in `t`."""
     if isinstance(t, RationalType):

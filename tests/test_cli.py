@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -195,6 +196,35 @@ def test_stats_compiles_the_source_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "parse_source", counted)
     assert main(["stats", str(src), "--json"]) == 0
     assert len(calls) == 1
+
+
+def test_the_tracer_sees_every_pass_in_order(tmp_path, monkeypatch, capsys):
+    """`bench/tracing.py` times a pass by wrapping the name that the
+    pipeline calls it by; a pass called any other way would go untimed."""
+    monkeypatch.syspath_prepend(os.path.join(REPO_ROOT, "bench"))
+    tracing = importlib.import_module("tracing")
+    src = tmp_path / "k.ekl"
+    src.write_text(GOOD)
+    calls = []
+
+    def wrap(layer, fn):
+        def called(*args, **kwargs):
+            calls.append(layer)
+            return fn(*args, **kwargs)
+
+        return called
+
+    with tracing.patched(wrap):
+        assert main(["dump", str(src), "--stage", "optimized"]) == 0
+    capsys.readouterr()
+    passes = [
+        layer
+        for module, _, layer in tracing.LAYERS
+        if module in ("pipeline", "optimize")
+    ]
+    # The parser, then each entry of PASSES once, in order.
+    assert len(passes) == 1 + len(pipeline.PASSES)
+    assert [layer for layer in calls if layer in passes] == passes
 
 
 @pytest.mark.parametrize("command", ["dump", "run", "stats"])

@@ -23,7 +23,7 @@ from eklc.interp import (
     random_inputs,
 )
 from eklc.ir_text import parse_ir
-from eklc.pipeline import compile_all_stages, compile_source
+from eklc.pipeline import STAGES, compile_all_stages, compile_source
 
 
 def _module(src, stage="generators", **kw):
@@ -334,6 +334,69 @@ def test_oracle_traps_a_rational_out_of_a_float_range_as_the_evaluator_does(
     with pytest.raises(EvalError, match=message) as oracle:
         eval_ast_oracle(kernel, {"a": 0.5})
     assert str(oracle.value) == str(trap.value)
+
+
+# Each kernel with its input `a` and what it gives on every stage: the
+# values of `y`, or the message of the trap. A comparison computes in its
+# operands' promoted type, and a rational operand of machine-typed
+# arithmetic takes the result's type first, as the casts that `explicit`
+# inserts do: `1e39` does not fit an `f32`, `0.1` rounds to the `f32`
+# nearest it, `5/2` truncates to 2, also where both operands are literals
+# that `simplify` folds, and `2` next to a `bool` is true.
+_CONVERTED_OPERANDS = {
+    "f32_cmp_out_of_range": (
+        "kernel k(in a: f32[2], out y: bool[2]) { let y[i] = a[i] < 1e39; }",
+        np.array([0.5, 2.0], dtype=np.float32),
+        "t.ekl:1:58: value out of range for f32",
+    ),
+    "f32_cmp_rounded": (
+        "kernel k(in a: f32[2], out y: bool[2]) { let y[i] = a[i] <= 0.1; }",
+        np.array([0.1, 0.5], dtype=np.float32),
+        [True, False],
+    ),
+    "si32_cmp_truncated": (
+        "kernel k(in a: si32[2], out y: bool[2]) { let y[i] = a[i] < 5/2; }",
+        np.array([2, 3], dtype=np.int32),
+        [False, False],
+    ),
+    "literal_cmp_truncated": (
+        "kernel k(in a: si32[2], out y: bool[2]) "
+        "{ let y[i] = if (_2 < 5/2) a[i] < 0 else a[i] >= 0; }",
+        np.array([2, 3], dtype=np.int32),
+        [True, True],
+    ),
+    "bool_cmp_nonzero": (
+        "kernel k(in a: bool[2], out y: bool[2]) { let y[i] = a[i] == 2; }",
+        np.array([True, False]),
+        [True, False],
+    ),
+    "si8_add_truncated": (
+        "kernel k(in a: si8[3], out y: si8[3]) { let y[i] = a[i] + 5/2; }",
+        np.array([1, -3, -4], dtype=np.int8),
+        [3, -1, -2],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONVERTED_OPERANDS))
+def test_both_evaluators_convert_operands_as_the_casts_do_on_every_stage(name):
+    src, a, expected = _CONVERTED_OPERANDS[name]
+    stages, diags = compile_all_stages(src, "t.ekl")
+    assert list(stages) == list(STAGES[1:]), [str(d) for d in diags]
+    for stage, module in stages.items():
+        kernel = kernels_of(module)[0]
+        for evaluate in (eval_kernel, eval_ast_oracle):
+            if isinstance(expected, str):
+                with pytest.raises(EvalError) as trap:
+                    evaluate(kernel, {"a": a})
+                assert str(trap.value) == expected, (stage, evaluate.__name__)
+            else:
+                got = evaluate(kernel, {"a": a})
+                outputs = got[0] if evaluate is eval_kernel else got
+                assert np.ravel(outputs["y"]).tolist() == expected, (
+                    stage,
+                    evaluate.__name__,
+                )
 
 
 _IF_IN_A_GENERATOR = """

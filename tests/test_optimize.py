@@ -97,9 +97,19 @@ def test_constant_conditions_dissolve():
         "kernel k(in a: f64, in b: f64, out y: f64) "
         "{ let y = if (true) a else b; }"
     )
-    module = _compiled(src)
-    kinds = _kinds(module)
+    kinds = _kinds(_compiled(src, stage="simplified"))
     assert "ekl.choice" not in kinds and "ekl.if" not in kinds
+
+
+def test_a_constant_choice_of_an_operand_that_needs_a_cast_dissolves_once_cast():
+    """`simplify` cannot forward 3/2 into an `si32` choice; `if_to_choice`
+    forwards the cast that `materialize_casts` puts in front of it."""
+    src = (
+        "kernel k(in a: si32[2], out y: si32[2]) "
+        "{ let y[i] = if (1 > 2) a[i] else 3/2; }"
+    )
+    assert _kinds(_compiled(src, stage="generators")).count("ekl.choice") == 1
+    assert "ekl.choice" not in _kinds(_compiled(src))
 
 
 def test_inexact_rational_constants_warn_when_narrowed():

@@ -183,6 +183,10 @@ def test_corpus_files_parse_clean():
         ("(2, 3, 4)[_0 + 1]", 3),
         ("if (1 < 2) 4 else 5", 4),
         ("(if (true) 2 else 3) + 1", 3),
+        # A comparison casts its operands to their promoted type first.
+        ("if (_2 < 5/2) 3 else 4", 4),
+        ("if (true == 2) 3 else 4", 3),
+        ("if (_2 < 5) 3 else 4", "t.ekl:1:27: value is not an exact constant"),
         ("_120 + _120", 240),
         ("2 * _2", 4),
         ("0", 0),
